@@ -1,9 +1,10 @@
 """Prime-gap statistics toolkit.
 
-Sieve primes in segments, stream the gaps d_n = p_{n+1} - p_n, and
-summarise them: gap-count histograms, exact power sums and moments,
-record (maximal) gaps, and comparisons against the iid-exponential
-model and the classical maximal-gap growth conjectures.
+One pipeline: sieve primes in segments, turn each segment into arrays
+of the gaps d_n = p_{n+1} - p_n, fold those into a mergeable
+accumulator, and summarise it: gap-count histograms, exact power sums
+and moments, record (maximal) gaps, and comparisons against the
+iid-exponential model and the classical maximal-gap growth conjectures.
 """
 
 from .conjectures import (
@@ -45,7 +46,6 @@ from .gapstats import (
     MaxGapRecord,
     MomentSummary,
     TauHistogram,
-    accumulate,
     gap_statistics,
     interval_gap_bracket,
     max_gap_records,
@@ -58,9 +58,7 @@ from .reports import parse_limit
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     BoundaryRule,
-    GapEvent,
     PrimeSegment,
-    gap_events,
     nth_prime,
     prime_count,
     primes_upto,

@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from typing import TextIO
 
 from . import expmodel, reports, tauio
-from .conjectures import default_constants
-from .gapstats import tau_histogram
+from .gapstats import MaxGapRecord, tau_histogram
 from .reports import BudgetExceeded, DEFAULT_BUDGET_SECONDS, RunConfig, parse_limit
 from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule
 
@@ -96,39 +96,14 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         segment_size=args.segment_size,
     )
     with _output(args.out) as out:
-        reports.write_figure_moments(out, config, args.segment_size)
+        reports.write_figure_moments(out, config)
     return 0
 
 
-def _cmd_maximal_gaps(args: argparse.Namespace) -> int:
+def _cmd_records(args: argparse.Namespace) -> int:
+    """Sieve the record gaps G_n up to the limit and hand them to args.write."""
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
-    records = reports.collect_records(limit, args.segment_size, use_fixture=False)
-    config = RunConfig(
-        limit=limit,
-        rule=BoundaryRule.STRICT,
-        include_first=True,
-        segment_size=args.segment_size,
-    )
-    with _output(args.out) as out:
-        reports.write_records(out, records, config)
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
-    if args.kind == "moments":
-        config = RunConfig(
-            limit=limit,
-            rule=_rule(args),
-            include_first=args.include_first,
-            ks=_parse_ks(args.k),
-            segment_size=args.segment_size,
-        )
-        with _output(args.out) as out:
-            reports.write_figure_moments(out, config, args.segment_size)
-        return 0
     records = reports.collect_records(
         limit, args.segment_size, use_fixture=args.use_fixture
     )
@@ -139,8 +114,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         segment_size=args.segment_size,
     )
     with _output(args.out) as out:
-        reports.write_figure_maxgaps(out, records, config)
+        args.write(out, records, config)
     return 0
+
+
+def _write_table2(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
+    reports.write_table2(out, reports.table2_rows(records), config)
 
 
 def _cmd_verify_tau(args: argparse.Namespace) -> int:
@@ -190,41 +169,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
-    records = reports.collect_records(
-        limit, args.segment_size, use_fixture=args.use_fixture
-    )
-    rows = reports.table2_rows(records, default_constants())
-    config = RunConfig(
-        limit=limit,
-        rule=BoundaryRule.STRICT,
-        include_first=True,
-        segment_size=args.segment_size,
-    )
-    with _output(args.out) as out:
-        reports.write_table2(out, rows, config)
-    return 0
-
-
 def _cmd_figure_data(args: argparse.Namespace) -> int:
     if args.kind == "moments":
         return _cmd_moments(args)
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
-    records = reports.collect_records(
-        limit, args.segment_size, use_fixture=args.use_fixture
-    )
-    config = RunConfig(
-        limit=limit,
-        rule=BoundaryRule.STRICT,
-        include_first=True,
-        segment_size=args.segment_size,
-    )
-    with _output(args.out) as out:
-        reports.write_figure_maxgaps(out, records, config)
-    return 0
+    return _cmd_records(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,15 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximal-gaps", help="record gaps up to a limit (CSV)")
     p.add_argument("--limit", required=True)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_maximal_gaps)
-
-    p = sub.add_parser("compare", help="observed statistics against model curves")
-    p.add_argument("--kind", choices=["moments", "maxgaps"], required=True)
-    _add_common(p, rule_default="strict", first_default=False)
-    p.add_argument("--k", default="1,2,3,4")
-    p.add_argument("--use-fixture", action="store_true",
-                   help="extend maxgap rows with the shipped record table")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_records, write=reports.write_records, use_fixture=False)
 
     p = sub.add_parser("verify-tau", help="recompute and diff a tau file")
     p.add_argument("--reference", required=True, help="tau file to check")
@@ -283,14 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", required=True)
     p.add_argument("--use-fixture", action="store_true")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_table2)
+    p.set_defaults(func=_cmd_records, write=_write_table2)
 
-    p = sub.add_parser("figure-data", help="plot-ready CSV for moments or records")
+    p = sub.add_parser(
+        "figure-data",
+        aliases=["compare"],
+        help="plot-ready CSV of observed statistics against model curves",
+    )
     p.add_argument("--kind", choices=["moments", "maxgaps"], required=True)
     _add_common(p, rule_default="strict", first_default=False)
     p.add_argument("--k", default="1,2,3,4")
-    p.add_argument("--use-fixture", action="store_true")
-    p.set_defaults(func=_cmd_figure_data)
+    p.add_argument("--use-fixture", action="store_true",
+                   help="extend maxgap rows with the shipped record table")
+    p.set_defaults(func=_cmd_figure_data, write=reports.write_figure_maxgaps)
 
     return parser
 

@@ -9,7 +9,6 @@ before the final float conversion.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -17,21 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    BoundaryRule,
-    GapEvent,
-    iter_prime_segments,
-    sieve_segment,
-    simple_sieve,
-)
+from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule, iter_prime_segments
 
 __all__ = [
     "TauHistogram",
     "MaxGapRecord",
     "GapAccumulator",
     "MomentSummary",
-    "accumulate",
     "merge",
     "power_sum",
     "moments",
@@ -77,7 +68,7 @@ class TauHistogram:
 
 @dataclass
 class GapAccumulator:
-    """Streaming summary of a contiguous range of gap events.
+    """Summary of the gaps at a contiguous range of indices.
 
     first_index/last_index delimit the range (None when empty), counts
     is the gap histogram, records the running left-to-right maxima.
@@ -98,13 +89,6 @@ class GapAccumulator:
     @property
     def overall_max(self) -> int:
         return self.records[-1].gap if self.records else 0
-
-    @classmethod
-    def from_events(cls, events: Iterable[GapEvent]) -> GapAccumulator:
-        acc = cls()
-        for event in events:
-            accumulate(acc, event)
-        return acc
 
     @classmethod
     def from_gap_arrays(
@@ -132,23 +116,6 @@ class GapAccumulator:
             counts=counts,
             records=records,
         )
-
-
-def accumulate(acc: GapAccumulator, event: GapEvent) -> GapAccumulator:
-    """Fold one event into acc (mutates the exclusively owned acc)."""
-    if acc.first_index is None:
-        acc.first_index = event.index
-        acc.last_index = event.index
-    else:
-        if event.index != acc.last_index + 1:
-            raise ValueError(
-                f"event index {event.index} not contiguous after {acc.last_index}"
-            )
-        acc.last_index = event.index
-    acc.counts[event.gap] += 1
-    if event.gap > acc.overall_max:
-        acc.records.append(MaxGapRecord(event.index, event.gap, event.lower_prime))
-    return acc
 
 
 def merge(left: GapAccumulator, right: GapAccumulator) -> GapAccumulator:
@@ -240,10 +207,13 @@ def gap_statistics(
     include_first: bool = False,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> GapAccumulator:
-    """Sieve up to the limit and fold all gap events into one accumulator.
+    """Sieve up to the limit and fold every gap into one accumulator.
 
-    Equivalent to GapAccumulator.from_events(gap_events(...)) but works
-    on whole segments at a time, so desk-scale limits take seconds.
+    Each segment's primes, chained to the last prime of the segment
+    before, become gap arrays folded by from_gap_arrays and merged in
+    order.  Gap d_n joins p_n and p_{n+1}; under STRICT the upper prime
+    satisfies p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With
+    include_first=False the range starts at index 2, skipping d_1 = 1.
     """
     if limit < 3:
         raise ValueError(f"limit {limit} too small for any gap")
@@ -286,6 +256,12 @@ def tau_histogram(
     return hist
 
 
+# Numbers past b sieved in the same pass as (a, b].  The window holds
+# nextprime(b) unless the gap after b is longer, which no prime gap
+# below 2**64 is; the loop then sieves further windows of this width.
+_NEXT_PRIME_WINDOW = 1 << 12
+
+
 def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     """Bracket the interval length L = b - a by sums of prime gaps.
 
@@ -294,36 +270,28 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     whenever the prime deficit at b, nextprime(b) - b, is at least the
     deficit at a; at typical scales L2/L -> 1 but the right inequality
     can fail (e.g. a=8, b=30 gives L2 = 20 < L = 22).
+
+    One pass over (a, b] and the window after b keeps only the first
+    and last prime inside, their count, and the next prime after b.
     """
     if not 2 < a < b:
         raise ValueError(f"need 2 < a < b, got ({a}, {b})")
-    inside = _primes_in(a + 1, b + 1)
-    if len(inside) < 2:
-        raise ValueError(f"interval ({a}, {b}] holds {len(inside)} primes; need >= 2")
-    after = _next_prime_from(b + 1)
-    l1 = inside[-1] - inside[0]
-    l2 = after - inside[0]
-    return l1, b - a, l2
-
-
-def _primes_in(lo: int, hi: int) -> list[int]:
-    lo = max(lo, 2)
-    if hi <= lo:
-        return []
-    base = simple_sieve(math.isqrt(hi - 1))
-    out: list[int] = []
-    span = 1 << 20
-    for start in range(lo, hi, span):
-        seg = sieve_segment(start, min(start + span, hi), base)
-        out.extend(seg.primes.tolist())
-    return out
-
-
-def _next_prime_from(lo: int) -> int:
-    span = 1 << 16
-    start = lo
-    while True:
-        found = _primes_in(start, start + span)
-        if found:
-            return found[0]
-        start += span
+    first = last = after = None
+    count = 0
+    lo, bound = a + 1, b + 1 + _NEXT_PRIME_WINDOW
+    while after is None:
+        for seg in iter_prime_segments(bound, lo=lo):
+            primes = seg.primes
+            cut = int(np.searchsorted(primes, b, side="right"))
+            if cut:
+                if first is None:
+                    first = int(primes[0])
+                last = int(primes[cut - 1])
+                count += cut
+            if cut < primes.size:
+                after = int(primes[cut])
+                break
+        lo, bound = bound, bound + _NEXT_PRIME_WINDOW
+    if count < 2:
+        raise ValueError(f"interval ({a}, {b}] holds {count} primes; need >= 2")
+    return last - first, b - a, after - first

@@ -15,7 +15,6 @@ from typing import TextIO
 from . import conjectures
 from .conjectures import Constants, compare_max_gaps, compare_moments
 from .gapstats import (
-    GapAccumulator,
     MaxGapRecord,
     gap_statistics,
     max_gap_records,
@@ -76,7 +75,6 @@ class RunConfig:
     include_first: bool
     ks: tuple[int, ...] = ()
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    seed: int | None = None
 
     def header(self) -> str:
         parts = [
@@ -87,8 +85,6 @@ class RunConfig:
         if self.ks:
             parts.append("ks=" + ",".join(str(k) for k in self.ks))
         parts.append(f"segment_size={self.segment_size}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
         return "# " + " ".join(parts)
 
 
@@ -179,28 +175,7 @@ def write_table1(out: TextIO, rows: list[Table1Row], config: RunConfig) -> None:
     _write_csv(out, config, header, data)
 
 
-def table2_rows(
-    records: list[MaxGapRecord], constants: Constants | None = None
-) -> list[tuple]:
-    """The records exceeding Granville's scale, with both squared-log columns."""
-    rows = []
-    for row in compare_max_gaps(records, constants):
-        if row.exceeds_granville:
-            rows.append(
-                (
-                    row.n,
-                    int(row.observed),
-                    row.x_or_pn,
-                    row.model_values["cramer_shanks_n"],
-                    row.model_values["cramer_shanks_pn"],
-                    row.model_values["granville_n"],
-                    row.model_values["granville_pn"],
-                )
-            )
-    return rows
-
-
-_TABLE2_HEADER = [
+_FIGURE_MAXGAP_HEADER = [
     "n",
     "G_n",
     "p_n",
@@ -208,7 +183,40 @@ _TABLE2_HEADER = [
     "log_pn_sq",
     "granville_n",
     "granville_pn",
+    "wolf",
+    "kourbatov",
+    "exceeds_granville_flag",
 ]
+_TABLE2_HEADER = _FIGURE_MAXGAP_HEADER[:7]
+
+
+def _maxgap_rows(
+    records: list[MaxGapRecord], constants: Constants | None = None
+) -> list[tuple]:
+    """One row per record in _FIGURE_MAXGAP_HEADER order."""
+    return [
+        (
+            row.n,
+            int(row.observed),
+            row.x_or_pn,
+            row.model_values["cramer_shanks_n"],
+            row.model_values["cramer_shanks_pn"],
+            row.model_values["granville_n"],
+            row.model_values["granville_pn"],
+            row.model_values["wolf"],
+            row.model_values["kourbatov"],
+            bool(row.exceeds_granville),
+        )
+        for row in compare_max_gaps(records, constants)
+    ]
+
+
+def table2_rows(
+    records: list[MaxGapRecord], constants: Constants | None = None
+) -> list[tuple]:
+    """The records exceeding Granville's scale, with both squared-log columns."""
+    width = len(_TABLE2_HEADER)
+    return [row[:width] for row in _maxgap_rows(records, constants) if row[-1]]
 
 
 def write_table2(out: TextIO, rows: list[tuple], config: RunConfig) -> None:
@@ -242,13 +250,11 @@ def write_records(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -
     _write_csv(out, config, header, rows)
 
 
-def write_figure_moments(
-    out: TextIO,
-    config: RunConfig,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> None:
+def write_figure_moments(out: TextIO, config: RunConfig) -> None:
     """Observed moments against k! (log n)^k at one limit."""
-    acc = gap_statistics(config.limit, config.rule, config.include_first, segment_size)
+    acc = gap_statistics(
+        config.limit, config.rule, config.include_first, config.segment_size
+    )
     summary = moments(acc, list(config.ks))
     out.write(config.header() + "\n")
     out.write(
@@ -262,40 +268,10 @@ def write_figure_moments(
         out.write(",".join(format_value(v) for v in values) + "\n")
 
 
-_FIGURE_MAXGAP_HEADER = [
-    "n",
-    "G_n",
-    "p_n",
-    "log_n_sq",
-    "log_pn_sq",
-    "granville_n",
-    "granville_pn",
-    "wolf",
-    "kourbatov",
-    "exceeds_granville_flag",
-]
-
-
 def write_figure_maxgaps(
     out: TextIO,
     records: list[MaxGapRecord],
     config: RunConfig,
     constants: Constants | None = None,
 ) -> None:
-    rows = []
-    for row in compare_max_gaps(records, constants):
-        rows.append(
-            (
-                row.n,
-                int(row.observed),
-                row.x_or_pn,
-                row.model_values["cramer_shanks_n"],
-                row.model_values["cramer_shanks_pn"],
-                row.model_values["granville_n"],
-                row.model_values["granville_pn"],
-                row.model_values["wolf"],
-                row.model_values["kourbatov"],
-                bool(row.exceeds_granville),
-            )
-        )
-    _write_csv(out, config, _FIGURE_MAXGAP_HEADER, rows)
+    _write_csv(out, config, _FIGURE_MAXGAP_HEADER, _maxgap_rows(records, constants))

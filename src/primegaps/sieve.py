@@ -1,8 +1,10 @@
-"""Segmented sieve of Eratosthenes and prime-gap event streaming.
+"""Segmented sieve of Eratosthenes.
 
 Segments hold an odd-only boolean mask, so a segment of 2**20 numbers
 costs half a megabyte and never touches memory proportional to the
-overall limit.  All limits are capped at 2**63 - 1.
+overall limit.  iter_prime_segments walks any window [lo, bound) with
+one base-prime sieve; gap statistics are folded from its prime arrays
+in gapstats.  All limits are capped at 2**63 - 1.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ __all__ = [
     "MAX_SEGMENT_SIZE",
     "BoundaryRule",
     "PrimeSegment",
-    "GapEvent",
     "simple_sieve",
     "sieve_segment",
     "iter_prime_segments",
     "primes_upto",
     "prime_count",
     "nth_prime",
-    "gap_events",
 ]
 
 MAX_LIMIT = 2**63 - 1
@@ -58,24 +58,6 @@ class PrimeSegment:
 
     def __post_init__(self) -> None:
         self.primes.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class GapEvent:
-    """Gap d = p_{index+1} - p_index together with its lower endpoint."""
-
-    index: int
-    lower_prime: int
-    gap: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1 or self.gap < 1:
-            raise ValueError("gap events need positive index and gap")
-        # d_1 = 1 is the only odd gap; every later gap joins two odd primes.
-        if (self.index == 1) != (self.gap == 1):
-            raise ValueError(f"gap {self.gap} at index {self.index} violates parity")
-        if self.index >= 2 and self.gap % 2:
-            raise ValueError(f"odd gap {self.gap} at index {self.index}")
 
 
 def _check_limit(x: int) -> None:
@@ -109,12 +91,15 @@ def _missing_base_prime(base: np.ndarray, need: int) -> bool:
 
     base is trusted to be the full prime list up to its own last entry,
     so only the window (base[-1], need] has to be scanned; for a sane
-    base that window is at most one prime gap wide.
+    base that window is at most one prime gap wide, and trial division
+    there needs only the base primes <= isqrt(need).
     """
     if base.size == 0:
         return True
     last = int(base[-1])
-    small = base.tolist()
+    if last >= need:
+        return False
+    small = base[: np.searchsorted(base, math.isqrt(need), side="right")].tolist()
     for m in range((last + 1) | 1, need + 1, 2):
         if all(m % p for p in small if p * p <= m):
             return True
@@ -160,16 +145,18 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
 
 
 def iter_prime_segments(
-    bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE
+    bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE, lo: int = 2
 ) -> Iterator[PrimeSegment]:
-    """Yield consecutive PrimeSegments covering [2, bound)."""
-    if bound <= 2:
+    """Yield consecutive PrimeSegments covering [lo, bound).
+
+    One base sieve up to isqrt(bound - 1) serves every segment.
+    """
+    if bound <= lo:
         return
     _check_limit(bound - 1)
     if not 64 <= segment_size <= MAX_SEGMENT_SIZE:
         raise ValueError(f"segment size {segment_size} outside [64, {MAX_SEGMENT_SIZE}]")
     base = simple_sieve(math.isqrt(bound - 1))
-    lo = 2
     while lo < bound:
         hi = min(lo + segment_size, bound)
         yield sieve_segment(lo, hi, base)
@@ -212,30 +199,3 @@ def nth_prime(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
             return int(seg.primes[n - seen - 1])
         seen += seg.primes.size
     raise AssertionError("upper bound for nth prime too small")
-
-
-def gap_events(
-    x: int,
-    rule: BoundaryRule = BoundaryRule.STRICT,
-    include_first: bool = True,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> Iterator[GapEvent]:
-    """Stream gap events d_n = p_{n+1} - p_n for primes below the limit.
-
-    Under STRICT the upper prime satisfies p_{n+1} < x, under INCLUSIVE
-    p_{n+1} <= x.  Indices are the global gap indices (d_1 joins 2 and
-    3); with include_first=False the stream starts at index 2.
-    """
-    if x < 3:
-        raise ValueError(f"limit {x} too small for any gap")
-    _check_limit(x)
-    bound = x if rule is BoundaryRule.STRICT else x + 1
-    prev: int | None = None
-    index = 0
-    for seg in iter_prime_segments(bound, segment_size):
-        for p in seg.primes.tolist():
-            if prev is not None:
-                index += 1
-                if include_first or index > 1:
-                    yield GapEvent(index=index, lower_prime=prev, gap=p - prev)
-            prev = p

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from primegaps import (
-    BoundaryRule,
-    GapAccumulator,
-    gap_events,
-    tau_histogram,
-)
+from primegaps import GapAccumulator, tau_histogram
 
 import oracles
 
@@ -25,13 +21,9 @@ def oracle_gaps_100k() -> list[tuple[int, int, int]]:
 
 
 @pytest.fixture(scope="session")
-def events_100k():
-    return list(gap_events(10**5, BoundaryRule.STRICT, include_first=True))
-
-
-@pytest.fixture(scope="session")
-def acc_100k(events_100k) -> GapAccumulator:
-    return GapAccumulator.from_events(events_100k)
+def acc_100k(oracle_gaps_100k) -> GapAccumulator:
+    _, lowers, gaps = zip(*oracle_gaps_100k)
+    return GapAccumulator.from_gap_arrays(1, np.array(gaps), np.array(lowers))
 
 
 @pytest.fixture(scope="session")

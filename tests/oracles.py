@@ -69,6 +69,56 @@ def naive_bracket(a: int, b: int) -> tuple[int, int, int]:
     return (inside[-1] - inside[0], b - a, after - inside[0])
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2..37 decide every n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """Smallest prime > n."""
+    n += 1
+    while not is_prime_mr(n):
+        n += 1
+    return n
+
+
+def prev_prime(n: int) -> int:
+    """Largest prime <= n (n >= 2)."""
+    while not is_prime_mr(n):
+        n -= 1
+    return n
+
+
+def mr_bracket(a: int, b: int) -> tuple[int, int, int]:
+    """(L1, L, L2) for (a, b] from Miller-Rabin scans at both ends, no sieve."""
+    first, last = next_prime(a), prev_prime(b)
+    if last <= first:
+        raise ValueError("need at least two primes in (a, b]")
+    return (last - first, b - a, next_prime(b) - first)
+
+
 def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
 

@@ -48,7 +48,7 @@ from primegaps.gapstats import (
     tau_histogram,
 )
 from primegaps.reports import collect_records, parse_limit, table1_rows, table2_rows
-from primegaps.sieve import gap_events, primes_upto
+from primegaps.sieve import primes_upto
 from primegaps.tauio import read_tau, write_tau
 
 ZETA2 = math.pi**2 / 6
@@ -183,21 +183,22 @@ def test_acceptance_04_record_model_columns(announce) -> None:
     _run(announce, 4, "record model columns on both scales", body)
 
 
-def _chunks(events: list, cuts: list[int]) -> list[list]:
-    bounds = [0, *cuts, len(events)]
-    return [events[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def test_acceptance_05_sum_identity_and_merge(announce) -> None:
     def body() -> str:
         for x in (10**3, 10**4, 10**5, 10**6):
             acc = gap_statistics(x, BoundaryRule.INCLUSIVE, include_first=True)
             assert power_sum(acc, 1) == primes_upto(x)[-1] - 2
-        events = list(gap_events(10**5, BoundaryRule.INCLUSIVE, include_first=True))
-        one_pass = GapAccumulator.from_events(events)
+        primes = primes_upto(10**5)
+        gaps, lowers = np.diff(primes), primes[:-1]
+        one_pass = GapAccumulator.from_gap_arrays(1, gaps, lowers)
+        assert one_pass == gap_statistics(10**5, BoundaryRule.INCLUSIVE, include_first=True)
         rng = random.Random(20260815)
-        cuts = sorted(rng.sample(range(1, len(events)), 3))
-        parts = [GapAccumulator.from_events(chunk) for chunk in _chunks(events, cuts)]
+        cuts = sorted(rng.sample(range(1, gaps.size), 3))
+        bounds = [0, *cuts, gaps.size]
+        parts = [
+            GapAccumulator.from_gap_arrays(lo + 1, gaps[lo:hi], lowers[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
         folded = parts[0]
         for part in parts[1:]:
             folded = merge(folded, part)

@@ -8,13 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primegaps import gapstats
 from primegaps import (
     BoundaryRule,
     GapAccumulator,
-    GapEvent,
     MaxGapRecord,
     TauHistogram,
-    accumulate,
     gap_statistics,
     interval_gap_bracket,
     max_gap_records,
@@ -31,14 +30,17 @@ import oracles
 S_2POW15 = {1: 32746, 2: 478068, 3: 9764152, 4: 260764560}
 
 
-def acc_from_slice(events, start, stop) -> GapAccumulator:
-    return GapAccumulator.from_events(events[start:stop])
+def acc_from_slice(triples, start, stop) -> GapAccumulator:
+    """Accumulator over the oracle's (index, lower_prime, gap) triples [start, stop)."""
+    index, lowers, gaps = zip(*triples[start:stop])
+    return GapAccumulator.from_gap_arrays(index[0], np.array(gaps), np.array(lowers))
 
 
-def test_three_construction_routes_agree(events_100k, acc_100k):
+def test_three_construction_routes_agree(oracle_gaps_100k, acc_100k):
+    # one gap at a time, one bulk array, and the segmented sieve pipeline
     looped = GapAccumulator()
-    for e in events_100k:
-        accumulate(looped, e)
+    for i in range(len(oracle_gaps_100k)):
+        looped = merge(looped, acc_from_slice(oracle_gaps_100k, i, i + 1))
     assert looped == acc_100k
     vectorized = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
     assert vectorized == acc_100k
@@ -82,24 +84,24 @@ def test_first_power_sum_telescopes_to_last_prime(oracle_primes_1e6):
         assert power_sum(acc, 1) == last - 2
 
 
-def test_merge_equals_one_pass_on_random_splits(events_100k, acc_100k):
+def test_merge_equals_one_pass_on_random_splits(oracle_gaps_100k, acc_100k):
     rng = random.Random(7)
-    total = len(events_100k)
+    total = len(oracle_gaps_100k)
     for _ in range(5):
         cut = rng.randrange(1, total)
-        left = acc_from_slice(events_100k, 0, cut)
-        right = acc_from_slice(events_100k, cut, total)
+        left = acc_from_slice(oracle_gaps_100k, 0, cut)
+        right = acc_from_slice(oracle_gaps_100k, cut, total)
         assert merge(left, right) == acc_100k
 
 
-def test_merge_is_associative(events_100k):
+def test_merge_is_associative(oracle_gaps_100k):
     rng = random.Random(11)
-    total = len(events_100k)
+    total = len(oracle_gaps_100k)
     for _ in range(3):
         i, j = sorted(rng.sample(range(1, total), 2))
-        a = acc_from_slice(events_100k, 0, i)
-        b = acc_from_slice(events_100k, i, j)
-        c = acc_from_slice(events_100k, j, total)
+        a = acc_from_slice(oracle_gaps_100k, 0, i)
+        b = acc_from_slice(oracle_gaps_100k, i, j)
+        c = acc_from_slice(oracle_gaps_100k, j, total)
         assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
@@ -108,19 +110,13 @@ def test_merge_with_empty_is_identity(acc_100k):
     assert merge(GapAccumulator(), acc_100k) == acc_100k
 
 
-def test_merge_rejects_non_adjacent_ranges(events_100k):
-    a = acc_from_slice(events_100k, 0, 10)
-    b = acc_from_slice(events_100k, 11, 20)
+def test_merge_rejects_non_adjacent_ranges(oracle_gaps_100k):
+    a = acc_from_slice(oracle_gaps_100k, 0, 10)
+    b = acc_from_slice(oracle_gaps_100k, 11, 20)
     with pytest.raises(ValueError, match="not adjacent"):
         merge(a, b)
     with pytest.raises(ValueError, match="not adjacent"):
         merge(b, a)
-
-
-def test_accumulate_rejects_index_jumps(events_100k):
-    acc = acc_from_slice(events_100k, 0, 5)
-    with pytest.raises(ValueError, match="not contiguous"):
-        accumulate(acc, events_100k[6])
 
 
 def test_records_are_left_to_right_maxima(acc_100k):
@@ -174,7 +170,7 @@ def test_moments_reduce_exactly_before_float_conversion():
 
 
 def test_moments_variance_undefined_below_two_gaps():
-    acc = GapAccumulator.from_events([GapEvent(index=1, lower_prime=2, gap=1)])
+    acc = GapAccumulator.from_gap_arrays(1, np.array([1]), np.array([2]))
     summary = moments(acc, [1])
     assert summary.mean == 1.0
     assert summary.variance is None
@@ -227,6 +223,25 @@ def test_bracket_right_sum_usually_but_not_always_covers_the_interval():
     l1, length, l2 = interval_gap_bracket(10, 50)
     assert (l1, length, l2) == (36, 40, 42)
     assert l1 < length <= l2
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # a and b prime, so (a, b] drops a and keeps b; 2.5 sieve windows
+        (oracles.next_prime(2**32), oracles.prev_prime(oracles.next_prime(2**32) + (5 << 19))),
+        (2**40 + 12345, 2**40 + 32345),
+    ],
+    ids=["2^32-three-windows", "2^40-short"],
+)
+def test_bracket_agrees_with_miller_rabin_at_height(a, b):
+    assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
+
+
+def test_bracket_searches_past_a_short_window_for_the_next_prime(monkeypatch):
+    # 113 -> 127 is longer than a 4-number window, so several windows follow b
+    monkeypatch.setattr(gapstats, "_NEXT_PRIME_WINDOW", 4)
+    assert interval_gap_bracket(100, 113) == oracles.naive_bracket(100, 113) == (12, 13, 26)
 
 
 def test_bracket_input_validation():

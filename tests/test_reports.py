@@ -77,15 +77,14 @@ def test_run_config_header_contents():
         include_first=False,
         ks=(1, 2),
         segment_size=4096,
-        seed=7,
     )
     assert config.header() == (
-        "# limit=1048576 rule=strict include_first=false ks=1,2 segment_size=4096 seed=7"
+        "# limit=1048576 rule=strict include_first=false ks=1,2 segment_size=4096"
     )
     bare = RunConfig(limit=100, rule=BoundaryRule.INCLUSIVE, include_first=True)
     header = bare.header()
     assert header.startswith("# limit=100 rule=inclusive include_first=true")
-    assert "ks=" not in header and "seed=" not in header
+    assert "ks=" not in header
 
 
 def test_budget_guard():

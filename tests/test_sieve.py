@@ -1,17 +1,17 @@
-"""Segmented sieve and gap-event stream against naive references."""
+"""Segmented sieve, and the gaps folded from it, against naive references."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from primegaps import (
     BoundaryRule,
-    GapEvent,
-    gap_events,
+    GapAccumulator,
+    MaxGapRecord,
+    gap_statistics,
+    merge,
     nth_prime,
+    power_sum,
     prime_count,
     primes_upto,
     simple_sieve,
@@ -94,6 +94,8 @@ def test_sieve_segment_accepts_base_ending_before_composite_need():
     # isqrt(39^2) = 39 is not prime; a base ending at 37 is complete
     seg = sieve_segment(1500, 1522, simple_sieve(37))
     assert seg.primes.tolist() == [1511]
+    # need = 49 = 7^2: trial division must still reach the prime isqrt(need)
+    assert sieve_segment(2400, 2402, simple_sieve(47)).primes.size == 0
 
 
 def test_limit_cap_enforced():
@@ -114,64 +116,64 @@ def test_prime_segment_arrays_are_frozen():
         seg.primes[0] = 4
 
 
-# gap events
+# gaps folded from the segments
 
 
 def test_gap_events_match_naive_both_rules():
     for rule, inclusive in ((BoundaryRule.STRICT, False), (BoundaryRule.INCLUSIVE, True)):
         for include_first in (True, False):
-            got = [
-                (e.index, e.lower_prime, e.gap)
-                for e in gap_events(10**4, rule, include_first)
-            ]
-            assert got == oracles.naive_gaps(10**4, inclusive, include_first)
+            expected = oracles.naive_gaps(10**4, inclusive, include_first)
+            index, lowers, gaps = zip(*expected)
+            want = GapAccumulator.from_gap_arrays(index[0], np.array(gaps), np.array(lowers))
+            assert gap_statistics(10**4, rule, include_first) == want
 
 
 def test_boundary_rules_differ_exactly_at_a_prime_limit():
     # 97 is prime: INCLUSIVE sees the gap 89 -> 97, STRICT stops at 89
-    strict = list(gap_events(97, BoundaryRule.STRICT))
-    inclusive = list(gap_events(97, BoundaryRule.INCLUSIVE))
-    assert inclusive[:-1] == strict
-    assert inclusive[-1] == GapEvent(index=24, lower_prime=89, gap=8)
+    strict = gap_statistics(97, BoundaryRule.STRICT, include_first=True)
+    inclusive = gap_statistics(97, BoundaryRule.INCLUSIVE, include_first=True)
+    last_gap = GapAccumulator.from_gap_arrays(24, np.array([8]), np.array([89]))
+    assert merge(strict, last_gap) == inclusive
+    assert inclusive.last_index == 24
     # 98 is composite: both rules agree
-    assert list(gap_events(98, BoundaryRule.STRICT)) == inclusive
+    assert gap_statistics(98, BoundaryRule.STRICT, include_first=True) == inclusive
 
 
 @pytest.mark.parametrize("size", [64, 1000, 1 << 16])
-def test_gap_events_independent_of_segment_size(size, events_100k):
-    assert list(gap_events(10**5, BoundaryRule.STRICT, segment_size=size)) == events_100k
+def test_gap_events_independent_of_segment_size(size, acc_100k):
+    got = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True, segment_size=size)
+    assert got == acc_100k
 
 
-def test_gap_event_parity(events_100k):
-    for e in events_100k:
-        if e.index == 1:
-            assert e.gap == 1
-        else:
-            assert e.gap % 2 == 0
+def test_gap_event_parity():
+    acc = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
+    assert acc.counts[1] == 1
+    assert all(d % 2 == 0 for d in acc.counts if d != 1)
 
 
-def test_gap_event_chain_coherence(events_100k):
-    for prev, nxt in zip(events_100k, events_100k[1:]):
-        assert nxt.index == prev.index + 1
-        assert nxt.lower_prime == prev.lower_prime + prev.gap
+def test_gap_event_chain_coherence(oracle_primes_1e6):
+    # 64-number segments put over a thousand joins below 10^5; every
+    # gap across a join must chain, so the gaps telescope to p_last - 2.
+    acc = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True, segment_size=64)
+    below = [p for p in oracle_primes_1e6 if p < 10**5]
+    assert (acc.first_index, acc.last_index) == (1, len(below) - 1)
+    assert power_sum(acc, 1) == below[-1] - 2
 
 
 def test_exclude_first_starts_at_index_two():
-    events = list(gap_events(100, include_first=False))
-    assert events[0] == GapEvent(index=2, lower_prime=3, gap=2)
+    acc = gap_statistics(100, include_first=False)
+    assert acc.first_index == 2
+    assert acc.records[0] == MaxGapRecord(index=2, gap=2, lower_prime=3)
 
 
 def test_gap_events_rejects_tiny_limit():
     with pytest.raises(ValueError):
-        next(gap_events(2))
+        gap_statistics(2)
 
 
-@given(index=st.integers(min_value=1, max_value=10**6), gap=st.integers(min_value=1, max_value=1000))
-@settings(max_examples=200, deadline=None)
-def test_gap_event_validation_enforces_parity(index, gap):
-    valid = (gap == 1) == (index == 1) and (index == 1 or gap % 2 == 0)
-    if valid:
-        GapEvent(index=index, lower_prime=3, gap=gap)
-    else:
-        with pytest.raises(ValueError):
-            GapEvent(index=index, lower_prime=3, gap=gap)
+@pytest.mark.parametrize("lo", [2, 3, 4, 1000, 99991, 99992])
+def test_segments_start_at_any_lo(lo, oracle_primes_1e6):
+    segs = list(iter_prime_segments(2 * 10**5 + 1, 1000, lo))
+    assert segs[0].lo == lo
+    got = np.concatenate([seg.primes for seg in segs])
+    assert got.tolist() == [p for p in oracle_primes_1e6 if lo <= p <= 2 * 10**5]
