@@ -47,6 +47,7 @@ from .gapstats import (
     MomentSummary,
     TauHistogram,
     gap_statistics,
+    gap_statistics_at,
     interval_gap_bracket,
     max_gap_records,
     merge,
@@ -61,7 +62,6 @@ from .sieve import (
     PrimeSegment,
     nth_prime,
     prime_count,
-    primes_upto,
     sieve_segment,
     simple_sieve,
 )

@@ -155,7 +155,7 @@ def _cmd_expmodel(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     limits = [parse_limit(part) for part in args.limit.split(",")]
-    reports.check_budget(sum(limits), args.budget_seconds, args.force)
+    reports.check_budget(max(limits), args.budget_seconds, args.force)
     rows = reports.table1_rows(limits, args.segment_size)
     config = RunConfig(
         limit=max(limits),

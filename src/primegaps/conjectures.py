@@ -21,7 +21,7 @@ import numpy as np
 
 from .expmodel import EULER_GAMMA
 from .gapstats import MaxGapRecord, MomentSummary
-from .sieve import iter_prime_segments
+from .sieve import simple_sieve
 
 __all__ = [
     "Constants",
@@ -68,13 +68,8 @@ def twin_constant(bound: int) -> tuple[float, float]:
             f"product bound {bound} below {_MIN_TWIN_BOUND}; "
             "truncation error would exceed the advertised tolerance"
         )
-    log_total = math.log(2.0)
-    for seg in iter_prime_segments(bound + 1):
-        p = seg.primes.astype(np.float64)
-        if seg.lo <= 2:
-            p = p[1:]  # the product runs over odd primes only
-        if p.size:
-            log_total += float(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2))))
+    p = simple_sieve(bound)[1:].astype(np.float64)  # odd primes only
+    log_total = math.log(2.0) + float(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2))))
     return math.exp(log_total), log_total
 
 

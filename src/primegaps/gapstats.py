@@ -10,7 +10,7 @@ before the final float conversion.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,6 +28,7 @@ __all__ = [
     "moments",
     "max_gap_records",
     "gap_statistics",
+    "gap_statistics_at",
     "tau_histogram",
     "interval_gap_bracket",
 ]
@@ -201,46 +202,59 @@ def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
     return list(acc.records)
 
 
+def gap_statistics_at(
+    limits: Iterable[int],
+    rule: BoundaryRule = BoundaryRule.STRICT,
+    include_first: bool = False,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+) -> Iterator[GapAccumulator]:
+    """Yield the accumulator of every gap below each ascending limit.
+
+    One sweep serves all the limits: the sieve resumes where the last
+    limit stopped, so the run costs max(limits) rather than their sum.
+    Each segment's primes, chained to the last prime before it, become
+    gap arrays folded by from_gap_arrays and merged in order.  Gap d_n
+    joins p_n and p_{n+1}; under STRICT the upper prime satisfies
+    p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With
+    include_first=False the range starts at index 2, skipping d_1 = 1.
+    """
+    total = GapAccumulator()
+    prev: int | None = None
+    next_index = 1
+    start = 2
+    for limit in limits:
+        if limit < 3:
+            raise ValueError(f"limit {limit} too small for any gap")
+        bound = limit if rule is BoundaryRule.STRICT else limit + 1
+        if bound < start:
+            raise ValueError(f"limits must ascend; {limit} follows a larger one")
+        for seg in iter_prime_segments(bound, segment_size, lo=start):
+            primes = seg.primes
+            if primes.size == 0:
+                continue
+            chain = primes if prev is None else np.concatenate(([prev], primes))
+            prev = int(primes[-1])
+            if chain.size < 2:
+                continue
+            gaps, lowers = np.diff(chain), chain[:-1]
+            first = next_index
+            next_index += int(gaps.size)
+            if not include_first and first == 1:
+                gaps, lowers, first = gaps[1:], lowers[1:], 2
+            part = GapAccumulator.from_gap_arrays(first, gaps, lowers)
+            total = merge(total, part)
+        start = bound
+        yield total
+
+
 def gap_statistics(
     limit: int,
     rule: BoundaryRule = BoundaryRule.STRICT,
     include_first: bool = False,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> GapAccumulator:
-    """Sieve up to the limit and fold every gap into one accumulator.
-
-    Each segment's primes, chained to the last prime of the segment
-    before, become gap arrays folded by from_gap_arrays and merged in
-    order.  Gap d_n joins p_n and p_{n+1}; under STRICT the upper prime
-    satisfies p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With
-    include_first=False the range starts at index 2, skipping d_1 = 1.
-    """
-    if limit < 3:
-        raise ValueError(f"limit {limit} too small for any gap")
-    bound = limit if rule is BoundaryRule.STRICT else limit + 1
-    total = GapAccumulator()
-    prev: int | None = None
-    next_index = 1
-    for seg in iter_prime_segments(bound, segment_size):
-        primes = seg.primes
-        if primes.size == 0:
-            continue
-        if prev is None:
-            chain = primes
-        else:
-            chain = np.concatenate(([prev], primes))
-        prev = int(primes[-1])
-        if chain.size < 2:
-            continue
-        gaps = np.diff(chain)
-        lowers = chain[:-1]
-        first = next_index
-        next_index += int(gaps.size)
-        if not include_first and first == 1:
-            gaps, lowers, first = gaps[1:], lowers[1:], 2
-        part = GapAccumulator.from_gap_arrays(first, gaps, lowers)
-        total = merge(total, part)
-    return total
+    """Sieve up to the limit and fold every gap into one accumulator."""
+    return next(gap_statistics_at([limit], rule, include_first, segment_size))
 
 
 def tau_histogram(

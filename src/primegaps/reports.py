@@ -17,6 +17,7 @@ from .conjectures import Constants, compare_max_gaps, compare_moments
 from .gapstats import (
     MaxGapRecord,
     gap_statistics,
+    gap_statistics_at,
     max_gap_records,
     moments,
 )
@@ -148,25 +149,28 @@ _TABLE1_KS = (1, 2, 3, 4)
 def table1_rows(
     limits: list[int], segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> list[Table1Row]:
-    """Gap-count, first four moments and maximal gap per power-of-two limit."""
-    rows = []
+    """Gap-count, first four moments and maximal gap per power-of-two limit.
+
+    One sweep up to the largest limit serves every row; rows come back
+    in the order of limits, repeats included.
+    """
     for limit in limits:
-        t = limit.bit_length() - 1
-        if limit != 1 << t:
+        if limit != 1 << (limit.bit_length() - 1):
             raise ValueError(f"limit {limit} is not a power of two")
-        acc = gap_statistics(
-            limit, BoundaryRule.STRICT, include_first=False, segment_size=segment_size
+    ascending = sorted(set(limits))
+    sweep = gap_statistics_at(
+        ascending, BoundaryRule.STRICT, include_first=False, segment_size=segment_size
+    )
+    rows = {}
+    for limit, acc in zip(ascending, sweep):
+        summary = moments(acc, _TABLE1_KS)
+        rows[limit] = Table1Row(
+            t=limit.bit_length() - 1,
+            n=summary.n,
+            mus=tuple(summary.moments[k] for k in _TABLE1_KS),
+            max_gap=acc.overall_max,
         )
-        summary = moments(acc, list(_TABLE1_KS))
-        rows.append(
-            Table1Row(
-                t=t,
-                n=summary.n,
-                mus=tuple(summary.moments[k] for k in _TABLE1_KS),
-                max_gap=acc.overall_max,
-            )
-        )
-    return rows
+    return [rows[limit] for limit in limits]
 
 
 def write_table1(out: TextIO, rows: list[Table1Row], config: RunConfig) -> None:

@@ -1,10 +1,12 @@
 """Segmented sieve of Eratosthenes.
 
-Segments hold an odd-only boolean mask, so a segment of 2**20 numbers
-costs half a megabyte and never touches memory proportional to the
-overall limit.  iter_prime_segments walks any window [lo, bound) with
-one base-prime sieve; gap statistics are folded from its prime arrays
-in gapstats.  All limits are capped at 2**63 - 1.
+sieve_segment is the one marking kernel: it sieves an odd-only boolean
+mask of one window, so a segment of 2**20 numbers costs half a megabyte
+and never touches memory proportional to the overall limit.
+iter_prime_segments walks any window [lo, bound) with the base primes
+<= isqrt(bound - 1), which simple_sieve finds by walking the same
+segments one level down.  Gap statistics are folded from the segments'
+prime arrays in gapstats.  All limits are capped at 2**63 - 1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "simple_sieve",
     "sieve_segment",
     "iter_prime_segments",
-    "primes_upto",
     "prime_count",
     "nth_prime",
 ]
@@ -66,24 +67,17 @@ def _check_limit(x: int) -> None:
 
 
 def simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a one-shot odd-only sieve.
+    """All primes <= limit as one ascending int64 array.
 
-    Intended for base primes (limit around sqrt of the real target);
-    memory is limit/2 bytes.
+    The primes are the concatenated segments of iter_prime_segments,
+    whose base primes come from simple_sieve(isqrt(limit)), so the
+    recursion bottoms out after a few levels.  Memory is pi(limit)
+    int64 values plus one segment mask.
     """
-    if limit < 2:
+    parts = [seg.primes for seg in iter_prime_segments(limit + 1)]
+    if not parts:
         return np.empty(0, dtype=np.int64)
-    _check_limit(limit)
-    # index i represents the odd number 2*i + 1
-    half = (limit + 1) // 2
-    mask = np.ones(half, dtype=bool)
-    mask[0] = False  # 1 is not prime
-    for i in range(1, min((math.isqrt(limit) + 1) // 2 + 1, half)):
-        if mask[i]:
-            p = 2 * i + 1
-            mask[(p * p) // 2 :: p] = False
-    odds = 2 * np.flatnonzero(mask).astype(np.int64) + 1
-    return np.concatenate(([np.int64(2)], odds))
+    return np.concatenate(parts)
 
 
 def _missing_base_prime(base: np.ndarray, need: int) -> bool:
@@ -161,14 +155,6 @@ def iter_prime_segments(
         hi = min(lo + segment_size, bound)
         yield sieve_segment(lo, hi, base)
         lo = hi
-
-
-def primes_upto(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """All primes <= limit as one array; memory scales with pi(limit)."""
-    parts = [seg.primes for seg in iter_prime_segments(limit + 1, segment_size)]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
 
 
 def prime_count(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:

@@ -42,13 +42,14 @@ from primegaps.gapstats import (
     BoundaryRule,
     GapAccumulator,
     gap_statistics,
+    gap_statistics_at,
     merge,
     moments,
     power_sum,
     tau_histogram,
 )
 from primegaps.reports import collect_records, parse_limit, table1_rows, table2_rows
-from primegaps.sieve import primes_upto
+from primegaps.sieve import simple_sieve
 from primegaps.tauio import read_tau, write_tau
 
 ZETA2 = math.pi**2 / 6
@@ -187,8 +188,8 @@ def test_acceptance_05_sum_identity_and_merge(announce) -> None:
     def body() -> str:
         for x in (10**3, 10**4, 10**5, 10**6):
             acc = gap_statistics(x, BoundaryRule.INCLUSIVE, include_first=True)
-            assert power_sum(acc, 1) == primes_upto(x)[-1] - 2
-        primes = primes_upto(10**5)
+            assert power_sum(acc, 1) == simple_sieve(x)[-1] - 2
+        primes = simple_sieve(10**5)
         gaps, lowers = np.diff(primes), primes[:-1]
         one_pass = GapAccumulator.from_gap_arrays(1, gaps, lowers)
         assert one_pass == gap_statistics(10**5, BoundaryRule.INCLUSIVE, include_first=True)
@@ -214,10 +215,9 @@ def test_acceptance_05_sum_identity_and_merge(announce) -> None:
 
 def test_acceptance_06_variance_mean_trend(announce) -> None:
     def body() -> str:
-        ratios = []
-        for t in (15, 18, 21, 24, 27):
-            acc = gap_statistics(1 << t, BoundaryRule.STRICT, include_first=False)
-            ratios.append(moments(acc, (1, 2)).taylor_ratio)
+        limits = [1 << t for t in (15, 18, 21, 24, 27)]
+        sweep = gap_statistics_at(limits, BoundaryRule.STRICT, include_first=False)
+        ratios = [moments(acc, (1, 2)).taylor_ratio for acc in sweep]
         assert abs(ratios[0] - 0.5654) <= 1e-3
         assert abs(ratios[3] - 0.7038) <= 1e-3
         assert all(a < b for a, b in zip(ratios, ratios[1:]))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import primegaps
 from primegaps import read_tau, tau_histogram
 from primegaps.cli import main
 
@@ -57,6 +60,16 @@ def test_budget_refusal_and_force(tmp_path, capsys):
     out = tmp_path / "b.dat"
     assert main(args + ["--force", "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_table1_budget_charges_the_largest_limit_not_the_sum():
+    # one sweep to max(limits): 2^20 twice costs 2^20 numbers, not 2^21
+    assert main(["table1", "--limit", "2^20,2^20", "--budget-seconds", "0.015"]) == 0
+
+
+def test_table1_budget_still_refuses_the_largest_limit(capsys):
+    assert main(["table1", "--limit", "2^20,2^24", "--budget-seconds", "0.1"]) == 3
+    assert "exceeds budget" in capsys.readouterr().err
 
 
 def test_missing_required_argument_exits_with_usage_code():
@@ -159,11 +172,14 @@ def test_expmodel_summary(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child finds the package where this process imported it from
+    paths = [str(Path(primegaps.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "primegaps", "taus", "--limit", "100"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2 8"

@@ -15,6 +15,7 @@ from primegaps import (
     MaxGapRecord,
     TauHistogram,
     gap_statistics,
+    gap_statistics_at,
     interval_gap_bracket,
     max_gap_records,
     merge,
@@ -59,6 +60,25 @@ def test_gap_statistics_matches_naive_counts(rule, include_first):
     assert acc.n == len(gaps)
     assert sum(acc.counts.values()) == len(gaps)
     assert acc.overall_max == max(gaps)
+
+
+@pytest.mark.parametrize("rule", list(BoundaryRule))
+@pytest.mark.parametrize("include_first", [True, False])
+def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first):
+    # limits off the 64-number segment grid, a repeat, and primes (131, 4099)
+    # where the two rules differ; the sweep resumes at each limit
+    limits = [3, 5, 100, 131, 131, 1000, 4099, 10**4]
+    sweep = gap_statistics_at(limits, rule, include_first, segment_size=64)
+    for limit, acc in zip(limits, sweep, strict=True):
+        assert acc == gap_statistics(limit, rule, include_first, segment_size=64)
+        gaps = oracles.naive_gaps(limit, rule is BoundaryRule.INCLUSIVE, include_first)
+        assert acc.n == len(gaps)
+        assert power_sum(acc, 2) == sum(g * g for _, _, g in gaps)
+
+
+def test_sweep_rejects_descending_limits():
+    with pytest.raises(ValueError, match="ascend"):
+        list(gap_statistics_at([1000, 100]))
 
 
 def test_histogram_totals_on_random_limits(oracle_primes_1e6):

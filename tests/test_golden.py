@@ -29,6 +29,7 @@ CASES = {
     ),
     "maximal_gaps_2p20": (["maximal-gaps", "--limit", "2^20"], 0),
     "table1": (["table1", "--limit", "2^10,2^15,2^20"], 0),
+    "table1_unsorted_repeat": (["table1", "--limit", "2^20,2^10,2^15,2^10"], 0),
     "table2_2p20": (["table2", "--limit", "2^20"], 0),
     "table2_2p20_fixture": (["table2", "--limit", "2^20", "--use-fixture"], 0),
     "figure_data_moments": (["figure-data", "--kind", "moments", "--limit", "2^20"], 0),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import BoundaryRule, known_max_gap_records, parse_limit
+from primegaps import BoundaryRule, gapstats, known_max_gap_records, parse_limit
 from primegaps.reports import (
     BudgetExceeded,
     DEFAULT_BUDGET_SECONDS,
@@ -28,6 +28,7 @@ from primegaps.reports import (
     write_table1,
     write_table2,
 )
+from primegaps.sieve import iter_prime_segments
 
 
 def test_parse_limit_accepts_both_grammars():
@@ -105,6 +106,20 @@ def test_table1_first_row():
     assert (row.t, row.n, row.max_gap) == (15, 3510, 72)
     assert row.mus[0] == pytest.approx(9.3293, abs=1e-4)
     assert row.mus[3] == pytest.approx(7.4292e4, rel=2e-4)
+
+
+def test_table1_sieves_up_to_the_largest_limit_once(monkeypatch):
+    sieved = []
+
+    def counting(bound, *args, **kwargs):
+        for seg in iter_prime_segments(bound, *args, **kwargs):
+            sieved.append(seg.hi - seg.lo)
+            yield seg
+
+    monkeypatch.setattr(gapstats, "iter_prime_segments", counting)
+    rows = table1_rows([1 << 10, 1 << 15, 1 << 20])
+    assert [row.t for row in rows] == [10, 15, 20]
+    assert sum(sieved) == (1 << 20) - 2
 
 
 def test_table1_rejects_non_power_of_two():

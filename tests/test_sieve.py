@@ -13,7 +13,6 @@ from primegaps import (
     nth_prime,
     power_sum,
     prime_count,
-    primes_upto,
     simple_sieve,
     sieve_segment,
 )
@@ -27,7 +26,14 @@ from primegaps.sieve import (
 import oracles
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 30, 97, 100, 1000, 10**4])
+# segments start at 2, so the first 2^20-number one ends at 2^20 + 2: the
+# limits from 2^20 - 1 on sit at that edge or past it; 1031^2 is the first
+# prime square past 2^20
+@pytest.mark.parametrize(
+    "limit",
+    [0, 1, 2, 3, 4, 5, 30, 97, 100, 1000, 10**4,
+     2**20 - 1, 2**20, 2**20 + 1, 2**20 + 2, 1031**2, 3 * 2**20 + 7],
+)
 def test_simple_sieve_matches_naive(limit):
     assert simple_sieve(limit).tolist() == oracles.naive_primes(limit)
 
@@ -56,10 +62,10 @@ def test_prime_count_matches_naive(limit, oracle_primes_1e6):
     assert prime_count(limit) == expected
 
 
-def test_primes_upto_inclusive_boundary():
-    assert primes_upto(7).tolist() == [2, 3, 5, 7]
-    assert primes_upto(8).tolist() == [2, 3, 5, 7]
-    assert primes_upto(1).size == 0
+def test_simple_sieve_inclusive_boundary():
+    assert simple_sieve(7).tolist() == [2, 3, 5, 7]
+    assert simple_sieve(8).tolist() == [2, 3, 5, 7]
+    assert simple_sieve(1).size == 0
 
 
 @pytest.mark.parametrize(
@@ -100,7 +106,7 @@ def test_sieve_segment_accepts_base_ending_before_composite_need():
 
 def test_limit_cap_enforced():
     with pytest.raises(ValueError):
-        primes_upto(MAX_LIMIT + 1)
+        simple_sieve(MAX_LIMIT + 1)
 
 
 def test_segment_size_bounds_enforced():
