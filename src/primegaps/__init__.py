@@ -57,7 +57,6 @@ from .gapstats import (
 )
 from .reports import parse_limit
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     BoundaryRule,
     PrimeSegment,
     nth_prime,

@@ -14,35 +14,41 @@ from typing import TextIO
 from . import expmodel, reports, tauio
 from .gapstats import MaxGapRecord, tau_histogram
 from .reports import BudgetExceeded, DEFAULT_BUDGET_SECONDS, RunConfig, parse_limit
-from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule
+from .sieve import BoundaryRule
 
 __all__ = ["main"]
 
 
-def _add_common(parser: argparse.ArgumentParser, *, rule_default: str, first_default: bool) -> None:
+# Defaults of the flags that only the moment reports read.
+_MOMENT_DEFAULTS = {"rule": "strict", "include_first": False, "k": "1,2,3,4"}
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--limit", required=True, help="sieve limit, decimal or 2^t")
     parser.add_argument(
         "--rule",
         choices=["strict", "inclusive"],
-        default=rule_default,
-        help=f"boundary rule at the limit (default {rule_default})",
+        default=_MOMENT_DEFAULTS["rule"],
+        help="boundary rule at the limit (default strict)",
     )
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--include-first",
         dest="include_first",
         action="store_true",
-        default=first_default,
+        default=_MOMENT_DEFAULTS["include_first"],
         help="include the unique odd first gap d_1 = 1",
     )
     group.add_argument(
         "--exclude-first", dest="include_first", action="store_false"
     )
+    parser.add_argument(
+        "--k", default=_MOMENT_DEFAULTS["k"], help="comma-separated moment orders"
+    )
     _add_run_flags(parser)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS)
     parser.add_argument("--force", action="store_true", help="ignore the runtime budget")
@@ -74,12 +80,9 @@ def _rule(args: argparse.Namespace) -> BoundaryRule:
 def _cmd_taus(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
-    hist = tau_histogram(
-        limit, BoundaryRule.STRICT, include_first=False, segment_size=args.segment_size
-    )
+    hist = tau_histogram(limit, BoundaryRule.STRICT, include_first=False)
     if args.out is None:
-        for d in sorted(hist.counts):
-            sys.stdout.write(f"{d} {hist.counts[d]}\n")
+        sys.stdout.write(tauio.format_tau(hist))
     else:
         tauio.write_tau(args.out, hist)
     return 0
@@ -93,7 +96,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         rule=_rule(args),
         include_first=args.include_first,
         ks=_parse_ks(args.k),
-        segment_size=args.segment_size,
     )
     with _output(args.out) as out:
         reports.write_figure_moments(out, config)
@@ -104,15 +106,8 @@ def _cmd_records(args: argparse.Namespace) -> int:
     """Sieve the record gaps G_n up to the limit and hand them to args.write."""
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
-    records = reports.collect_records(
-        limit, args.segment_size, use_fixture=args.use_fixture
-    )
-    config = RunConfig(
-        limit=limit,
-        rule=BoundaryRule.STRICT,
-        include_first=True,
-        segment_size=args.segment_size,
-    )
+    records = reports.collect_records(limit, use_fixture=args.use_fixture)
+    config = RunConfig(limit=limit, rule=BoundaryRule.STRICT, include_first=True)
     with _output(args.out) as out:
         args.write(out, records, config)
     return 0
@@ -125,7 +120,7 @@ def _write_table2(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -
 def _cmd_verify_tau(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
-    result = tauio.verify_tau(args.reference, limit, args.segment_size)
+    result = tauio.verify_tau(args.reference, limit)
     print(result.summary())
     return 0 if result.matches else 1
 
@@ -156,13 +151,9 @@ def _cmd_expmodel(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     limits = [parse_limit(part) for part in args.limit.split(",")]
     reports.check_budget(max(limits), args.budget_seconds, args.force)
-    rows = reports.table1_rows(limits, args.segment_size)
+    rows = reports.table1_rows(limits)
     config = RunConfig(
-        limit=max(limits),
-        rule=BoundaryRule.STRICT,
-        include_first=False,
-        ks=(1, 2, 3, 4),
-        segment_size=args.segment_size,
+        limit=max(limits), rule=BoundaryRule.STRICT, include_first=False, ks=(1, 2, 3, 4)
     )
     with _output(args.out) as out:
         reports.write_table1(out, rows, config)
@@ -170,9 +161,25 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure_data(args: argparse.Namespace) -> int:
+    """Run the report --kind names; a flag that kind does not read is an error.
+
+    The moment flags default to None on this parser, so that a flag
+    given on the command line can be told from one left out.
+    """
     if args.kind == "moments":
-        return _cmd_moments(args)
-    return _cmd_records(args)
+        ignored = ["--use-fixture"] if args.use_fixture else []
+    else:
+        ignored = [flag for flag in ("--rule", "--k") if getattr(args, flag[2:]) is not None]
+        if args.include_first is not None:
+            ignored.append("--include-first" if args.include_first else "--exclude-first")
+    if ignored:
+        raise ValueError(f"--kind {args.kind} does not take {', '.join(ignored)}")
+    if args.kind == "maxgaps":
+        return _cmd_records(args)
+    for dest, default in _MOMENT_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    return _cmd_moments(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_taus)
 
     p = sub.add_parser("moments", help="gap moments against k! (log n)^k")
-    _add_common(p, rule_default="strict", first_default=False)
-    p.add_argument("--k", default="1,2,3,4", help="comma-separated moment orders")
+    _add_common(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("maximal-gaps", help="record gaps up to a limit (CSV)")
@@ -231,11 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="plot-ready CSV of observed statistics against model curves",
     )
     p.add_argument("--kind", choices=["moments", "maxgaps"], required=True)
-    _add_common(p, rule_default="strict", first_default=False)
-    p.add_argument("--k", default="1,2,3,4")
+    _add_common(p)
     p.add_argument("--use-fixture", action="store_true",
                    help="extend maxgap rows with the shipped record table")
-    p.set_defaults(func=_cmd_figure_data, write=reports.write_figure_maxgaps)
+    p.set_defaults(
+        func=_cmd_figure_data,
+        write=reports.write_figure_maxgaps,
+        **dict.fromkeys(_MOMENT_DEFAULTS),
+    )
 
     return parser
 

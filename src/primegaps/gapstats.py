@@ -2,6 +2,8 @@
 
 Accumulators form a monoid under merge, so a run can be split into
 contiguous index ranges, folded independently, and merged in order.
+The fold walks the sieve's segments at its default size; where the
+segments fall never changes a statistic, only the merge count.
 Power sums are plain Python integers and therefore exact at any k;
 mean, variance and the Taylor ratio are reduced as exact rationals
 before the final float conversion.
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule, iter_prime_segments
+from .sieve import MAX_LIMIT, BoundaryRule, iter_prime_segments
 
 __all__ = [
     "TauHistogram",
@@ -206,7 +208,6 @@ def gap_statistics_at(
     limits: Iterable[int],
     rule: BoundaryRule = BoundaryRule.STRICT,
     include_first: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> Iterator[GapAccumulator]:
     """Yield the accumulator of every gap below each ascending limit.
 
@@ -228,7 +229,7 @@ def gap_statistics_at(
         bound = limit if rule is BoundaryRule.STRICT else limit + 1
         if bound < start:
             raise ValueError(f"limits must ascend; {limit} follows a larger one")
-        for seg in iter_prime_segments(bound, segment_size, lo=start):
+        for seg in iter_prime_segments(bound, lo=start):
             primes = seg.primes
             if primes.size == 0:
                 continue
@@ -251,19 +252,17 @@ def gap_statistics(
     limit: int,
     rule: BoundaryRule = BoundaryRule.STRICT,
     include_first: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> GapAccumulator:
     """Sieve up to the limit and fold every gap into one accumulator."""
-    return next(gap_statistics_at([limit], rule, include_first, segment_size))
+    return next(gap_statistics_at([limit], rule, include_first))
 
 
 def tau_histogram(
     limit: int,
     rule: BoundaryRule = BoundaryRule.STRICT,
     include_first: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> TauHistogram:
-    acc = gap_statistics(limit, rule, include_first, segment_size)
+    acc = gap_statistics(limit, rule, include_first)
     counts = dict(sorted(acc.counts.items()))
     hist = TauHistogram(limit=limit, rule=rule, include_first=include_first, counts=counts)
     hist.validate()
@@ -273,6 +272,7 @@ def tau_histogram(
 # Numbers past b sieved in the same pass as (a, b].  The window holds
 # nextprime(b) unless the gap after b is longer, which no prime gap
 # below 2**64 is; the loop then sieves further windows of this width.
+# Every window ends at 2**63 at the latest, the end of the range.
 _NEXT_PRIME_WINDOW = 1 << 12
 
 
@@ -287,13 +287,17 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
 
     One pass over (a, b] and the window after b keeps only the first
     and last prime inside, their count, and the next prime after b.
+    b and nextprime(b) must both lie in the supported range.
     """
     if not 2 < a < b:
         raise ValueError(f"need 2 < a < b, got ({a}, {b})")
+    if b > MAX_LIMIT:
+        raise ValueError(f"b = {b} exceeds supported range 2**63 - 1")
     first = last = after = None
     count = 0
     lo, bound = a + 1, b + 1 + _NEXT_PRIME_WINDOW
     while after is None:
+        bound = min(bound, MAX_LIMIT + 1)
         for seg in iter_prime_segments(bound, lo=lo):
             primes = seg.primes
             cut = int(np.searchsorted(primes, b, side="right"))
@@ -305,6 +309,8 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
             if cut < primes.size:
                 after = int(primes[cut])
                 break
+        if after is None and bound > MAX_LIMIT:
+            raise ValueError(f"no prime follows b = {b} below 2**63")
         lo, bound = bound, bound + _NEXT_PRIME_WINDOW
     if count < 2:
         raise ValueError(f"interval ({a}, {b}] holds {count} primes; need >= 2")

@@ -69,13 +69,16 @@ def parse_limit(text: str) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The knobs that determine a run's output, echoed into every report."""
+    """The inputs that determine a run's output, echoed into every report.
+
+    The header also names the sieve's fixed segment size; it is a
+    detail of the sieve that never changes a reported number.
+    """
 
     limit: int
     rule: BoundaryRule
     include_first: bool
     ks: tuple[int, ...] = ()
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def header(self) -> str:
         parts = [
@@ -85,7 +88,7 @@ class RunConfig:
         ]
         if self.ks:
             parts.append("ks=" + ",".join(str(k) for k in self.ks))
-        parts.append(f"segment_size={self.segment_size}")
+        parts.append(f"segment_size={DEFAULT_SEGMENT_SIZE}")
         return "# " + " ".join(parts)
 
 
@@ -146,9 +149,7 @@ class Table1Row:
 _TABLE1_KS = (1, 2, 3, 4)
 
 
-def table1_rows(
-    limits: list[int], segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> list[Table1Row]:
+def table1_rows(limits: list[int]) -> list[Table1Row]:
     """Gap-count, first four moments and maximal gap per power-of-two limit.
 
     One sweep up to the largest limit serves every row; rows come back
@@ -158,9 +159,7 @@ def table1_rows(
         if limit != 1 << (limit.bit_length() - 1):
             raise ValueError(f"limit {limit} is not a power of two")
     ascending = sorted(set(limits))
-    sweep = gap_statistics_at(
-        ascending, BoundaryRule.STRICT, include_first=False, segment_size=segment_size
-    )
+    sweep = gap_statistics_at(ascending, BoundaryRule.STRICT, include_first=False)
     rows = {}
     for limit, acc in zip(ascending, sweep):
         summary = moments(acc, _TABLE1_KS)
@@ -227,16 +226,10 @@ def write_table2(out: TextIO, rows: list[tuple], config: RunConfig) -> None:
     _write_csv(out, config, _TABLE2_HEADER, rows)
 
 
-def collect_records(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    use_fixture: bool = False,
-) -> list[MaxGapRecord]:
+def collect_records(limit: int, use_fixture: bool = False) -> list[MaxGapRecord]:
     """Sieved records up to the limit, optionally extended by the shipped
     table for records whose p_n lies beyond sieving range."""
-    acc = gap_statistics(
-        limit, BoundaryRule.STRICT, include_first=True, segment_size=segment_size
-    )
+    acc = gap_statistics(limit, BoundaryRule.STRICT, include_first=True)
     records = max_gap_records(acc)
     if use_fixture:
         known = conjectures.known_max_gap_records()
@@ -256,9 +249,7 @@ def write_records(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -
 
 def write_figure_moments(out: TextIO, config: RunConfig) -> None:
     """Observed moments against k! (log n)^k at one limit."""
-    acc = gap_statistics(
-        config.limit, config.rule, config.include_first, config.segment_size
-    )
+    acc = gap_statistics(config.limit, config.rule, config.include_first)
     summary = moments(acc, list(config.ks))
     out.write(config.header() + "\n")
     out.write(

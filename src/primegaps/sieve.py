@@ -5,8 +5,11 @@ mask of one window, so a segment of 2**20 numbers costs half a megabyte
 and never touches memory proportional to the overall limit.
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1), which simple_sieve finds by walking the same
-segments one level down.  Gap statistics are folded from the segments'
-prime arrays in gapstats.  All limits are capped at 2**63 - 1.
+segments one level down.  The segment size is a parameter of that
+walker alone: it trades mask memory against per-segment overhead and
+never changes a prime, so every caller above it takes the default.
+Gap statistics are folded from the segments' prime arrays in gapstats.
+All limits are capped at 2**63 - 1.
 """
 
 from __future__ import annotations
@@ -157,18 +160,18 @@ def iter_prime_segments(
         lo = hi
 
 
-def prime_count(x: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def prime_count(x: int) -> int:
     """pi(x): number of primes <= x."""
     if x < 2:
         return 0
     _check_limit(x)
-    return sum(seg.primes.size for seg in iter_prime_segments(x + 1, segment_size))
+    return sum(seg.primes.size for seg in iter_prime_segments(x + 1))
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def nth_prime(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed: nth_prime(1) = 2."""
     if n < 1:
         raise ValueError(f"prime index {n} must be >= 1")
@@ -180,7 +183,7 @@ def nth_prime(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     if bound > MAX_LIMIT:
         raise ValueError(f"prime index {n} out of supported range")
     seen = 0
-    for seg in iter_prime_segments(bound + 1, segment_size):
+    for seg in iter_prime_segments(bound + 1):
         if seen + seg.primes.size >= n:
             return int(seg.primes[n - seen - 1])
         seen += seg.primes.size

@@ -12,27 +12,35 @@ import os
 from dataclasses import dataclass
 
 from .gapstats import TauHistogram, tau_histogram
-from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule
+from .sieve import BoundaryRule
 
-__all__ = ["TauFormatError", "TauDiff", "TauVerification", "write_tau", "read_tau", "verify_tau"]
+__all__ = [
+    "TauFormatError", "TauDiff", "TauVerification",
+    "format_tau", "write_tau", "read_tau", "verify_tau",
+]
 
 
 class TauFormatError(ValueError):
     """A tau file violated the format; message carries the line number."""
 
 
-def write_tau(path: str | os.PathLike, histogram: TauHistogram) -> None:
-    """Write the histogram in the canonical tau format.
+def format_tau(histogram: TauHistogram) -> str:
+    """The histogram as the text of a tau file: the one owner of the format.
 
-    Only the record-file convention is writable: STRICT boundary and
-    first gap excluded, so every gap is even.
+    Only the record-file convention has a tau format: STRICT boundary
+    and first gap excluded, so every gap is even.
     """
     if histogram.rule is not BoundaryRule.STRICT or histogram.include_first:
         raise ValueError("tau files hold STRICT, first-gap-excluded histograms only")
     histogram.validate()
-    lines = [f"{d} {histogram.counts[d]}\n" for d in sorted(histogram.counts)]
+    return "".join(f"{d} {histogram.counts[d]}\n" for d in sorted(histogram.counts))
+
+
+def write_tau(path: str | os.PathLike, histogram: TauHistogram) -> None:
+    """Write the histogram to a tau file at path."""
+    text = format_tau(histogram)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.writelines(lines)
+        fh.write(text)
 
 
 def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
@@ -108,16 +116,10 @@ class TauVerification:
 _MAX_REPORTED_DIFFS = 10
 
 
-def verify_tau(
-    reference_path: str | os.PathLike,
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> TauVerification:
+def verify_tau(reference_path: str | os.PathLike, limit: int) -> TauVerification:
     """Recompute tau counts at the limit and diff against a reference file."""
     reference = read_tau(reference_path, limit)
-    computed = tau_histogram(
-        limit, BoundaryRule.STRICT, include_first=False, segment_size=segment_size
-    )
+    computed = tau_histogram(limit, BoundaryRule.STRICT, include_first=False)
     diffs = []
     for gap in sorted(set(reference.counts) | set(computed.counts)):
         ref = reference.counts.get(gap, 0)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from primegaps import GapAccumulator, tau_histogram
+from primegaps import GapAccumulator, gapstats, sieve, tau_histogram
 
 import oracles
 
@@ -24,6 +26,17 @@ def oracle_gaps_100k() -> list[tuple[int, int, int]]:
 def acc_100k(oracle_gaps_100k) -> GapAccumulator:
     _, lowers, gaps = zip(*oracle_gaps_100k)
     return GapAccumulator.from_gap_arrays(1, np.array(gaps), np.array(lowers))
+
+
+@pytest.fixture
+def fold_segment_size(monkeypatch):
+    """Call with a size to make the gap fold walk the sieve in segments of it."""
+
+    def walk_segments_of(size: int) -> None:
+        walker = functools.partial(sieve.iter_prime_segments, segment_size=size)
+        monkeypatch.setattr(gapstats, "iter_prime_segments", walker)
+
+    return walk_segments_of
 
 
 @pytest.fixture(scope="session")

@@ -158,6 +158,48 @@ def test_figure_data_maxgaps(tmp_path):
     assert lines[2].split(",")[9] == "true"
 
 
+@pytest.mark.parametrize(
+    "kind, flags, named",
+    [
+        ("maxgaps", ["--rule", "inclusive", "--exclude-first", "--k", "9"],
+         ["--rule", "--exclude-first", "--k"]),
+        ("maxgaps", ["--rule", "strict"], ["--rule"]),
+        ("maxgaps", ["--include-first"], ["--include-first"]),
+        ("moments", ["--use-fixture"], ["--use-fixture"]),
+    ],
+    ids=["maxgaps-moment-flags", "maxgaps-rule", "maxgaps-include-first", "moments-fixture"],
+)
+@pytest.mark.parametrize("command", ["figure-data", "compare"])
+def test_figure_data_rejects_flags_its_kind_ignores(command, kind, flags, named, capsys):
+    argv = [command, "--kind", kind, "--limit", "1000", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(flag in captured.err for flag in named)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["taus", "--limit", "1000"],
+        ["moments", "--limit", "1000"],
+        ["maximal-gaps", "--limit", "1000"],
+        ["verify-tau", "--reference", "tau.dat", "--limit", "1000"],
+        ["table1", "--limit", "2^10"],
+        ["table2", "--limit", "1000"],
+        ["figure-data", "--kind", "moments", "--limit", "1000"],
+        ["compare", "--kind", "maxgaps", "--limit", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_segment_size_is_not_a_flag(argv, capsys):
+    # the sieve block never changes a reported number, so no report takes it
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--segment-size", "4096"])
+    assert exc_info.value.code == 2
+    assert "--segment-size" in capsys.readouterr().err
+
+
 def test_expmodel_summary(tmp_path):
     path = tmp_path / "exp.txt"
     code = main(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primegaps import gapstats
+from primegaps import gapstats, sieve
 from primegaps import (
     BoundaryRule,
     GapAccumulator,
@@ -64,13 +64,14 @@ def test_gap_statistics_matches_naive_counts(rule, include_first):
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))
 @pytest.mark.parametrize("include_first", [True, False])
-def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first):
+def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, fold_segment_size):
     # limits off the 64-number segment grid, a repeat, and primes (131, 4099)
     # where the two rules differ; the sweep resumes at each limit
+    fold_segment_size(64)
     limits = [3, 5, 100, 131, 131, 1000, 4099, 10**4]
-    sweep = gap_statistics_at(limits, rule, include_first, segment_size=64)
+    sweep = gap_statistics_at(limits, rule, include_first)
     for limit, acc in zip(limits, sweep, strict=True):
-        assert acc == gap_statistics(limit, rule, include_first, segment_size=64)
+        assert acc == gap_statistics(limit, rule, include_first)
         gaps = oracles.naive_gaps(limit, rule is BoundaryRule.INCLUSIVE, include_first)
         assert acc.n == len(gaps)
         assert power_sum(acc, 2) == sum(g * g for _, _, g in gaps)
@@ -262,6 +263,34 @@ def test_bracket_searches_past_a_short_window_for_the_next_prime(monkeypatch):
     # 113 -> 127 is longer than a 4-number window, so several windows follow b
     monkeypatch.setattr(gapstats, "_NEXT_PRIME_WINDOW", 4)
     assert interval_gap_bracket(100, 113) == oracles.naive_bracket(100, 113) == (12, 13, 26)
+
+
+def miller_rabin_segments(bound, lo=2):
+    """Stand-in for the sieve walker near 2^63, where a real base sieve
+    up to isqrt(2^63) would not fit a unit test: the primes of [lo, bound)
+    by Miller-Rabin, in one segment, under the walker's own range check."""
+    if bound - 1 > sieve.MAX_LIMIT:
+        raise ValueError(f"limit {bound - 1} exceeds supported range 2**63 - 1")
+    primes = [n for n in range(lo, bound) if oracles.is_prime_mr(n)]
+    yield sieve.PrimeSegment(lo, bound, np.array(primes, dtype=np.int64))
+
+
+def test_bracket_reaches_the_last_prime_of_the_range(monkeypatch):
+    # 2^63 - 25 is the largest prime below 2^63; the window after b is
+    # cut at 2^63 instead of running past the range
+    monkeypatch.setattr(gapstats, "iter_prime_segments", miller_rabin_segments)
+    a, b = 2**63 - 2000, 2**63 - 100
+    assert oracles.next_prime(b) == 2**63 - 25
+    assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
+
+
+def test_bracket_names_b_when_no_prime_follows_it_in_range(monkeypatch):
+    monkeypatch.setattr(gapstats, "iter_prime_segments", miller_rabin_segments)
+    b = 2**63 - 20
+    with pytest.raises(ValueError, match=f"no prime follows b = {b}"):
+        interval_gap_bracket(2**63 - 2000, b)
+    with pytest.raises(ValueError, match="exceeds supported range"):
+        interval_gap_bracket(2**63 - 2000, 2**63)
 
 
 def test_bracket_input_validation():

@@ -20,7 +20,6 @@ TAU_REFERENCE = str(GOLDEN / "taus_2p20.txt")
 CASES = {
     "taus_2p20": (["taus", "--limit", "2^20"], 0),
     "moments_2p20": (["moments", "--limit", "2^20"], 0),
-    "moments_2p20_segment_4096": (["moments", "--limit", "2^20", "--segment-size", "4096"], 0),
     "moments_prime_strict": (["moments", "--limit", "1000003", "--rule", "strict"], 0),
     "moments_prime_inclusive_first": (
         ["moments", "--limit", "1000003", "--rule", "inclusive", "--include-first",

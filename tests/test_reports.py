@@ -77,10 +77,9 @@ def test_run_config_header_contents():
         rule=BoundaryRule.STRICT,
         include_first=False,
         ks=(1, 2),
-        segment_size=4096,
     )
     assert config.header() == (
-        "# limit=1048576 rule=strict include_first=false ks=1,2 segment_size=4096"
+        "# limit=1048576 rule=strict include_first=false ks=1,2 segment_size=1048576"
     )
     bare = RunConfig(limit=100, rule=BoundaryRule.INCLUSIVE, include_first=True)
     header = bare.header()

@@ -146,8 +146,9 @@ def test_boundary_rules_differ_exactly_at_a_prime_limit():
 
 
 @pytest.mark.parametrize("size", [64, 1000, 1 << 16])
-def test_gap_events_independent_of_segment_size(size, acc_100k):
-    got = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True, segment_size=size)
+def test_gap_events_independent_of_segment_size(size, acc_100k, fold_segment_size):
+    fold_segment_size(size)
+    got = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
     assert got == acc_100k
 
 
@@ -157,10 +158,11 @@ def test_gap_event_parity():
     assert all(d % 2 == 0 for d in acc.counts if d != 1)
 
 
-def test_gap_event_chain_coherence(oracle_primes_1e6):
+def test_gap_event_chain_coherence(oracle_primes_1e6, fold_segment_size):
     # 64-number segments put over a thousand joins below 10^5; every
     # gap across a join must chain, so the gaps telescope to p_last - 2.
-    acc = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True, segment_size=64)
+    fold_segment_size(64)
+    acc = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
     below = [p for p in oracle_primes_1e6 if p < 10**5]
     assert (acc.first_index, acc.last_index) == (1, len(below) - 1)
     assert power_sum(acc, 1) == below[-1] - 2

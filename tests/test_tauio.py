@@ -7,7 +7,8 @@ import random
 import pytest
 
 from primegaps import BoundaryRule, TauHistogram, read_tau, tau_histogram, verify_tau, write_tau
-from primegaps.tauio import TauFormatError
+from primegaps.cli import main
+from primegaps.tauio import TauFormatError, format_tau
 
 
 def random_histogram(rng: random.Random) -> TauHistogram:
@@ -45,6 +46,15 @@ def test_written_format_is_canonical(tmp_path, hist_2pow20):
     assert b"\t" not in raw and b"  " not in raw
     gaps = [int(line.split()[0]) for line in lines]
     assert gaps == sorted(gaps)
+
+
+def test_stdout_and_file_share_the_tau_format(tmp_path, capsys):
+    path = tmp_path / "tau.dat"
+    assert main(["taus", "--limit", "2^15", "--out", str(path)]) == 0
+    assert main(["taus", "--limit", "2^15"]) == 0
+    text = format_tau(tau_histogram(1 << 15))
+    assert capsys.readouterr().out == text
+    assert path.read_text(encoding="ascii") == text
 
 
 def test_empty_histogram_round_trips(tmp_path):
