@@ -1,5 +1,9 @@
 """Command-line surface: one subcommand per reproducible artifact.
 
+`moments` is the moment figure and the only report with the moment flags;
+`figure-data` (alias `compare`) is the maximal-gap figure, one of the three
+record reports that share _cmd_records.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 refused because the estimated runtime exceeds the budget.
 """
@@ -8,49 +12,28 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
-from typing import TextIO
 
 from . import expmodel, reports, tauio
-from .gapstats import MaxGapRecord, tau_histogram
+from .gapstats import tau_histogram
 from .reports import BudgetExceeded, DEFAULT_BUDGET_SECONDS, RunConfig, parse_limit
 from .sieve import BoundaryRule
 
 __all__ = ["main"]
 
 
-# Defaults of the flags that only the moment reports read.
-_MOMENT_DEFAULTS = {"rule": "strict", "include_first": False, "k": "1,2,3,4"}
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--limit", required=True, help="sieve limit, decimal or 2^t")
-    parser.add_argument(
-        "--rule",
-        choices=["strict", "inclusive"],
-        default=_MOMENT_DEFAULTS["rule"],
-        help="boundary rule at the limit (default strict)",
-    )
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--include-first",
-        dest="include_first",
-        action="store_true",
-        default=_MOMENT_DEFAULTS["include_first"],
-        help="include the unique odd first gap d_1 = 1",
-    )
-    group.add_argument(
-        "--exclude-first", dest="include_first", action="store_false"
-    )
-    parser.add_argument(
-        "--k", default=_MOMENT_DEFAULTS["k"], help="comma-separated moment orders"
-    )
-    _add_run_flags(parser)
+def _budget_seconds(text: str) -> float:
+    """A budget is a finite number of seconds above zero; --force lifts it."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected finite seconds > 0, got {text!r}")
+    return value
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS)
+    parser.add_argument("--budget-seconds", type=_budget_seconds, default=DEFAULT_BUDGET_SECONDS)
     parser.add_argument("--force", action="store_true", help="ignore the runtime budget")
 
 
@@ -73,10 +56,6 @@ def _output(path: str | None):
             yield fh
 
 
-def _rule(args: argparse.Namespace) -> BoundaryRule:
-    return BoundaryRule(args.rule)
-
-
 def _cmd_taus(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
@@ -93,7 +72,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     reports.check_budget(limit, args.budget_seconds, args.force)
     config = RunConfig(
         limit=limit,
-        rule=_rule(args),
+        rule=BoundaryRule(args.rule),
         include_first=args.include_first,
         ks=_parse_ks(args.k),
     )
@@ -113,15 +92,12 @@ def _cmd_records(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_table2(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
-    reports.write_table2(out, reports.table2_rows(records), config)
-
-
 def _cmd_verify_tau(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
     result = tauio.verify_tau(args.reference, limit)
-    print(result.summary())
+    with _output(args.out) as out:
+        out.write(result.summary() + "\n")
     return 0 if result.matches else 1
 
 
@@ -160,28 +136,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure_data(args: argparse.Namespace) -> int:
-    """Run the report --kind names; a flag that kind does not read is an error.
-
-    The moment flags default to None on this parser, so that a flag
-    given on the command line can be told from one left out.
-    """
-    if args.kind == "moments":
-        ignored = ["--use-fixture"] if args.use_fixture else []
-    else:
-        ignored = [flag for flag in ("--rule", "--k") if getattr(args, flag[2:]) is not None]
-        if args.include_first is not None:
-            ignored.append("--include-first" if args.include_first else "--exclude-first")
-    if ignored:
-        raise ValueError(f"--kind {args.kind} does not take {', '.join(ignored)}")
-    if args.kind == "maxgaps":
-        return _cmd_records(args)
-    for dest, default in _MOMENT_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    return _cmd_moments(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primegaps",
@@ -195,7 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_taus)
 
     p = sub.add_parser("moments", help="gap moments against k! (log n)^k")
-    _add_common(p)
+    p.add_argument("--limit", required=True, help="sieve limit, decimal or 2^t")
+    p.add_argument("--rule", choices=["strict", "inclusive"], default="strict",
+                   help="boundary rule at the limit (default strict)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--include-first", dest="include_first", action="store_true",
+                       help="include the unique odd first gap d_1 = 1")
+    group.add_argument("--exclude-first", dest="include_first", action="store_false")
+    p.add_argument("--k", default="1,2,3,4", help="comma-separated moment orders")
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("maximal-gaps", help="record gaps up to a limit (CSV)")
@@ -229,22 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", required=True)
     p.add_argument("--use-fixture", action="store_true")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_records, write=_write_table2)
+    p.set_defaults(func=_cmd_records, write=reports.write_table2)
 
     p = sub.add_parser(
         "figure-data",
         aliases=["compare"],
-        help="plot-ready CSV of observed statistics against model curves",
+        help="plot-ready CSV of the record gaps against the maximal-gap curves",
     )
-    p.add_argument("--kind", choices=["moments", "maxgaps"], required=True)
-    _add_common(p)
+    p.add_argument("--limit", required=True)
     p.add_argument("--use-fixture", action="store_true",
-                   help="extend maxgap rows with the shipped record table")
-    p.set_defaults(
-        func=_cmd_figure_data,
-        write=reports.write_figure_maxgaps,
-        **dict.fromkeys(_MOMENT_DEFAULTS),
-    )
+                   help="extend the rows with the shipped record table")
+    _add_run_flags(p)
+    p.set_defaults(func=_cmd_records, write=reports.write_figure_maxgaps)
 
     return parser
 

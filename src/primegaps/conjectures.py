@@ -182,10 +182,9 @@ def _ratio(observed: float, model: float) -> float:
     return observed / model
 
 
-def compare_moments(summary: MomentSummary, n: int, ks: list[int]) -> list[ComparisonRow]:
-    """One row per order k: observed mu'_k against k! (log n)^k."""
-    if summary.n != n:
-        raise ValueError(f"summary holds n = {summary.n}, caller claims {n}")
+def compare_moments(summary: MomentSummary, ks: list[int]) -> list[ComparisonRow]:
+    """One row per order k: observed mu'_k against k! (log n)^k, n = summary.n."""
+    n = summary.n
     rows = []
     for k in ks:
         if k not in summary.moments:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from . import conjectures
-from .conjectures import Constants, compare_max_gaps, compare_moments
+from .conjectures import compare_max_gaps, compare_moments
 from .gapstats import (
     MaxGapRecord,
     gap_statistics,
@@ -193,9 +193,7 @@ _FIGURE_MAXGAP_HEADER = [
 _TABLE2_HEADER = _FIGURE_MAXGAP_HEADER[:7]
 
 
-def _maxgap_rows(
-    records: list[MaxGapRecord], constants: Constants | None = None
-) -> list[tuple]:
+def _maxgap_rows(records: list[MaxGapRecord]) -> list[tuple]:
     """One row per record in _FIGURE_MAXGAP_HEADER order."""
     return [
         (
@@ -210,20 +208,18 @@ def _maxgap_rows(
             row.model_values["kourbatov"],
             bool(row.exceeds_granville),
         )
-        for row in compare_max_gaps(records, constants)
+        for row in compare_max_gaps(records)
     ]
 
 
-def table2_rows(
-    records: list[MaxGapRecord], constants: Constants | None = None
-) -> list[tuple]:
+def table2_rows(records: list[MaxGapRecord]) -> list[tuple]:
     """The records exceeding Granville's scale, with both squared-log columns."""
     width = len(_TABLE2_HEADER)
-    return [row[:width] for row in _maxgap_rows(records, constants) if row[-1]]
+    return [row[:width] for row in _maxgap_rows(records) if row[-1]]
 
 
-def write_table2(out: TextIO, rows: list[tuple], config: RunConfig) -> None:
-    _write_csv(out, config, _TABLE2_HEADER, rows)
+def write_table2(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
+    _write_csv(out, config, _TABLE2_HEADER, table2_rows(records))
 
 
 def collect_records(limit: int, use_fixture: bool = False) -> list[MaxGapRecord]:
@@ -248,9 +244,14 @@ def write_records(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -
 
 
 def write_figure_moments(out: TextIO, config: RunConfig) -> None:
-    """Observed moments against k! (log n)^k at one limit."""
+    """Observed moments against k! (log n)^k at one limit.
+
+    Every row is computed before the first write, so a limit too small
+    for the model raises with nothing written.
+    """
     acc = gap_statistics(config.limit, config.rule, config.include_first)
     summary = moments(acc, list(config.ks))
+    rows = compare_moments(summary, list(config.ks))
     out.write(config.header() + "\n")
     out.write(
         f"# mean={format_value(summary.mean)}"
@@ -258,15 +259,10 @@ def write_figure_moments(out: TextIO, config: RunConfig) -> None:
         f" taylor_ratio={format_value(summary.taylor_ratio)}\n"
     )
     out.write("n,k,observed,model,ratio\n")
-    for row in compare_moments(summary, summary.n, list(config.ks)):
+    for row in rows:
         values = (row.n, row.k, row.observed, row.model_values["exp_moment"], row.ratios["exp_moment"])
         out.write(",".join(format_value(v) for v in values) + "\n")
 
 
-def write_figure_maxgaps(
-    out: TextIO,
-    records: list[MaxGapRecord],
-    config: RunConfig,
-    constants: Constants | None = None,
-) -> None:
-    _write_csv(out, config, _FIGURE_MAXGAP_HEADER, _maxgap_rows(records, constants))
+def write_figure_maxgaps(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
+    _write_csv(out, config, _FIGURE_MAXGAP_HEADER, _maxgap_rows(records))

@@ -42,6 +42,19 @@ def test_verify_round_trip_and_perturbation(tmp_path, capsys):
     assert "MISMATCH" in out and f"gap {gap}" in out
 
 
+def test_verify_writes_its_summary_to_out(tmp_path, capsys):
+    tau = tmp_path / "tau.dat"
+    assert main(["taus", "--limit", "2^15", "--out", str(tau)]) == 0
+    for limit, code in (("2^15", 0), ("2^14", 1)):
+        summary = tmp_path / f"verify_{code}.txt"
+        argv = ["verify-tau", "--reference", str(tau), "--limit", limit, "--out", str(summary)]
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
+        text = summary.read_text(encoding="ascii")
+        assert text.endswith("\n")
+        assert ("exact agreement" if code == 0 else "MISMATCH") in text
+
+
 def test_verify_missing_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "nope.dat"
     assert main(["verify-tau", "--reference", str(missing), "--limit", "1000"]) == 2
@@ -60,6 +73,17 @@ def test_budget_refusal_and_force(tmp_path, capsys):
     out = tmp_path / "b.dat"
     assert main(args + ["--force", "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+def test_budget_must_be_finite_and_positive(budget, capsys):
+    # nan would turn the guard off and -1 would refuse every run; --force lifts it
+    with pytest.raises(SystemExit) as exc_info:
+        main(["moments", "--limit", "1000", "--budget-seconds", budget])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget-seconds" in captured.err
 
 
 def test_table1_budget_charges_the_largest_limit_not_the_sum():
@@ -124,6 +148,17 @@ def test_table1_accepts_a_limit_list(tmp_path):
     assert lines[2].endswith(",72") and lines[3].endswith(",86")
 
 
+def test_moments_below_two_gaps_writes_nothing(tmp_path, capsys):
+    # limit 7 leaves one gap, too few for the model: the error comes before any line
+    assert main(["moments", "--limit", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n >= 2" in captured.err
+    path = tmp_path / "m.txt"
+    assert main(["moments", "--limit", "7", "--out", str(path)]) == 2
+    assert path.read_text(encoding="ascii") == ""
+
+
 def test_table1_rejects_non_power_limits(capsys):
     assert main(["table1", "--limit", "100000"]) == 2
     assert "power of two" in capsys.readouterr().err
@@ -138,18 +173,17 @@ def test_table2_with_fixture(tmp_path):
     assert lines[-1].startswith("49749629143526,1132,1693182318746371,")
 
 
-def test_compare_and_figure_data_agree_for_moments(tmp_path):
+def test_compare_is_an_alias_of_figure_data(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["compare", "--kind", "moments", "--limit", "2^15", "--out", str(a)]) == 0
-    assert main(["figure-data", "--kind", "moments", "--limit", "2^15", "--out", str(b)]) == 0
+    assert main(["compare", "--limit", "2^15", "--out", str(a)]) == 0
+    assert main(["figure-data", "--limit", "2^15", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_figure_data_maxgaps(tmp_path):
     path = tmp_path / "fig2.csv"
     code = main(
-        ["figure-data", "--kind", "maxgaps", "--limit", "10000",
-         "--use-fixture", "--out", str(path)]
+        ["figure-data", "--limit", "10000", "--use-fixture", "--out", str(path)]
     )
     assert code == 0
     lines = path.read_text(encoding="ascii").splitlines()
@@ -159,22 +193,25 @@ def test_figure_data_maxgaps(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, flags, named",
+    "flags, named",
     [
-        ("maxgaps", ["--rule", "inclusive", "--exclude-first", "--k", "9"],
+        (["--rule", "inclusive", "--exclude-first", "--k", "9"],
          ["--rule", "--exclude-first", "--k"]),
-        ("maxgaps", ["--rule", "strict"], ["--rule"]),
-        ("maxgaps", ["--include-first"], ["--include-first"]),
-        ("moments", ["--use-fixture"], ["--use-fixture"]),
+        (["--rule", "strict"], ["--rule"]),
+        (["--include-first"], ["--include-first"]),
+        (["--kind", "moments", "--use-fixture"], ["--kind"]),
     ],
     ids=["maxgaps-moment-flags", "maxgaps-rule", "maxgaps-include-first", "moments-fixture"],
 )
 @pytest.mark.parametrize("command", ["figure-data", "compare"])
-def test_figure_data_rejects_flags_its_kind_ignores(command, kind, flags, named, capsys):
-    argv = [command, "--kind", kind, "--limit", "1000", *flags]
-    assert main(argv) == 2
+def test_figure_data_rejects_flags_its_kind_ignores(command, flags, named, capsys):
+    # figure-data is the max-gap figure alone; the moment figure is `moments`
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--limit", "1000", *flags])
+    assert exc_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
     assert all(flag in captured.err for flag in named)
 
 
@@ -187,8 +224,8 @@ def test_figure_data_rejects_flags_its_kind_ignores(command, kind, flags, named,
         ["verify-tau", "--reference", "tau.dat", "--limit", "1000"],
         ["table1", "--limit", "2^10"],
         ["table2", "--limit", "1000"],
-        ["figure-data", "--kind", "moments", "--limit", "1000"],
-        ["compare", "--kind", "maxgaps", "--limit", "1000"],
+        ["figure-data", "--limit", "1000"],
+        ["compare", "--limit", "1000"],
     ],
     ids=lambda argv: argv[0],
 )

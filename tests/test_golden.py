@@ -31,21 +31,13 @@ CASES = {
     "table1_unsorted_repeat": (["table1", "--limit", "2^20,2^10,2^15,2^10"], 0),
     "table2_2p20": (["table2", "--limit", "2^20"], 0),
     "table2_2p20_fixture": (["table2", "--limit", "2^20", "--use-fixture"], 0),
-    "figure_data_moments": (["figure-data", "--kind", "moments", "--limit", "2^20"], 0),
-    "figure_data_maxgaps": (["figure-data", "--kind", "maxgaps", "--limit", "2^20"], 0),
-    "figure_data_maxgaps_fixture": (
-        ["figure-data", "--kind", "maxgaps", "--limit", "2^20", "--use-fixture"],
+    "figure_data_maxgaps": (["figure-data", "--limit", "2^20"], 0),
+    "figure_data_maxgaps_fixture": (["figure-data", "--limit", "2^20", "--use-fixture"], 0),
+    "moments_prime_inclusive_k12": (
+        ["moments", "--limit", "1000003", "--rule", "inclusive", "--k", "1,2"],
         0,
     ),
-    "compare_moments_inclusive": (
-        ["compare", "--kind", "moments", "--limit", "1000003", "--rule", "inclusive",
-         "--k", "1,2"],
-        0,
-    ),
-    "compare_maxgaps_fixture": (
-        ["compare", "--kind", "maxgaps", "--limit", "2^20", "--use-fixture"],
-        0,
-    ),
+    "compare_maxgaps_fixture": (["compare", "--limit", "2^20", "--use-fixture"], 0),
     "verify_tau_match": (["verify-tau", "--reference", TAU_REFERENCE, "--limit", "2^20"], 0),
     "verify_tau_mismatch": (["verify-tau", "--reference", TAU_REFERENCE, "--limit", "2^19"], 1),
     "expmodel": (

@@ -154,8 +154,7 @@ def test_table2_is_the_flagged_subset():
 
 def test_write_table2_layout():
     config = RunConfig(limit=10**4, rule=BoundaryRule.STRICT, include_first=True)
-    rows = table2_rows(known_max_gap_records()[:11])
-    lines = write_to_string(write_table2, rows, config)
+    lines = write_to_string(write_table2, known_max_gap_records()[:11], config)
     assert lines[1] == "n,G_n,p_n,log_n_sq,log_pn_sq,granville_n,granville_pn"
     assert lines[2] == "1,1,2,0,0.480453,0,0.53951"
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from primegaps import (
     BoundaryRule,
     GapAccumulator,
@@ -185,3 +189,40 @@ def test_segments_start_at_any_lo(lo, oracle_primes_1e6):
     assert segs[0].lo == lo
     got = np.concatenate([seg.primes for seg in segs])
     assert got.tolist() == [p for p in oracle_primes_1e6 if lo <= p <= 2 * 10**5]
+
+
+# One base of every prime <= 2^24 serves windows up to 2^48 + 2^24.  Windows
+# at 2^52 (3 s each) and 2^62 - 2^20 (a base of pi(2^31) ~ 10^8 primes) are
+# left out to keep the suite fast and its memory small.
+_WINDOW = 4096
+_HEIGHTS = {"2^32": 2**32, "2^40": 2**40, "2^48": 2**48}
+
+
+@pytest.fixture(scope="module")
+def base_2p24() -> np.ndarray:
+    return simple_sieve(2**24)
+
+
+def _mr_primes(lo: int, hi: int) -> list[int]:
+    return [n for n in range(lo | 1, hi, 2) if oracles.is_prime_mr(n)]
+
+
+@pytest.mark.parametrize("offset", [_WINDOW, _WINDOW // 2], ids=["below", "across"])
+@pytest.mark.parametrize("height", list(_HEIGHTS.values()), ids=list(_HEIGHTS))
+def test_sieve_segment_matches_miller_rabin_at_height(height, offset, base_2p24):
+    lo = height - offset
+    hi = lo + _WINDOW
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == _mr_primes(lo, hi)
+    assert got  # a 4096-wide window this low always holds primes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, _WINDOW - 1), max_size=8, unique=True))
+def test_window_cuts_concatenate_to_the_same_primes(cuts):
+    lo = 2**32 - _WINDOW // 2
+    hi = lo + _WINDOW
+    base = simple_sieve(math.isqrt(hi - 1))
+    edges = [lo, *sorted(lo + c for c in cuts), hi]
+    parts = [sieve_segment(a, b, base).primes for a, b in zip(edges, edges[1:])]
+    assert np.concatenate(parts).tolist() == sieve_segment(lo, hi, base).primes.tolist()
