@@ -9,11 +9,9 @@ iid-exponential model and the classical maximal-gap growth conjectures.
 
 from .conjectures import (
     ComparisonRow,
-    Constants,
     compare_max_gaps,
     compare_moments,
     cramer_shanks,
-    default_constants,
     exp_moment_model,
     granville,
     known_max_gap_records,

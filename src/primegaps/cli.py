@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
+import os
 import sys
 
 from . import expmodel, reports, tauio
@@ -49,17 +51,21 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 @contextlib.contextmanager
 def _output(path: str | None):
+    """Stdout, or a buffer that reaches the file only once the report is
+    complete, so a failed run leaves an existing file as it was."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            yield fh
+        return
+    buffer = io.StringIO()
+    yield buffer
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(buffer.getvalue())
 
 
 def _cmd_taus(args: argparse.Namespace) -> int:
     limit = parse_limit(args.limit)
     reports.check_budget(limit, args.budget_seconds, args.force)
-    hist = tau_histogram(limit, BoundaryRule.STRICT, include_first=False)
+    hist = tau_histogram(limit)
     if args.out is None:
         sys.stdout.write(tauio.format_tau(hist))
     else:
@@ -211,7 +217,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): stop quietly, and point
+        # stdout at devnull so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,10 @@
 Model curves: the exponential-model moment k! (log n)^k, the power-sum
 form k! x (log x)^(k-1), the Cramer-Shanks square (log z)^2, Granville's
 2 e^-gamma (log z)^2, Wolf's pi(x)-based maximal-gap estimate, and the
-Kourbatov lower bound (log p)^2 - log p - 1.  Wolf's additive constant
-c = log C_2 is always computed from the truncated twin-prime product,
-never hard-coded.
+Kourbatov lower bound (log p)^2 - log p - 1.  Both constants are fixed
+by the models: Granville's coefficient is GRANVILLE_COEFF = 2 e^-gamma,
+and Wolf's additive constant c = log C_2 is computed once from the
+twin-prime product truncated at 10**6, never hard-coded.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -24,10 +25,9 @@ from .gapstats import MaxGapRecord, MomentSummary
 from .sieve import simple_sieve
 
 __all__ = [
-    "Constants",
+    "GRANVILLE_COEFF",
     "ComparisonRow",
     "twin_constant",
-    "default_constants",
     "exp_moment_model",
     "oes_power_sum",
     "cramer_shanks",
@@ -42,18 +42,8 @@ __all__ = [
 
 # Truncation bounds below this leave more than ~1e-5 of the product tail.
 _MIN_TWIN_BOUND = 100_000
-_DEFAULT_TWIN_BOUND = 1_000_000
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Numeric constants shared by the model curves."""
-
-    gamma: float
-    granville_coeff: float  # 2 e^-gamma
-    twin_c2: float  # C_2 = 2 prod (1 - (p-1)^-2) over odd primes
-    wolf_c: float  # log C_2
-    product_bound: int
+GRANVILLE_COEFF = 2.0 * math.exp(-EULER_GAMMA)
 
 
 def twin_constant(bound: int) -> tuple[float, float]:
@@ -73,16 +63,10 @@ def twin_constant(bound: int) -> tuple[float, float]:
     return math.exp(log_total), log_total
 
 
-@lru_cache(maxsize=8)
-def default_constants(bound: int = _DEFAULT_TWIN_BOUND) -> Constants:
-    c2, c = twin_constant(bound)
-    return Constants(
-        gamma=EULER_GAMMA,
-        granville_coeff=2.0 * math.exp(-EULER_GAMMA),
-        twin_c2=c2,
-        wolf_c=c,
-        product_bound=bound,
-    )
+@cache
+def _wolf_c() -> float:
+    """Wolf's c = log C_2, from the product truncated at 10**6."""
+    return twin_constant(10**6)[1]
 
 
 def exp_moment_model(n: int, k: int) -> float:
@@ -110,23 +94,21 @@ def cramer_shanks(z: float) -> float:
     return math.log(z) ** 2
 
 
-def granville(z: float, constants: Constants | None = None) -> float:
+def granville(z: float) -> float:
     """Granville's corrected scale 2 e^-gamma (log z)^2 ~ 1.1229 (log z)^2."""
-    coeff = (constants or default_constants()).granville_coeff
     if z < 1:
         raise ValueError(f"scale {z} must be >= 1")
-    return coeff * math.log(z) ** 2
+    return GRANVILLE_COEFF * math.log(z) ** 2
 
 
-def wolf_max_gap(x: float, pi_x: int, constants: Constants | None = None) -> float:
+def wolf_max_gap(x: float, pi_x: int) -> float:
     """Wolf's estimate G(x) ~ (x / pi(x)) (2 log pi(x) - log x + c)."""
     if x <= 1 or pi_x < 1:
         raise ValueError("wolf estimate needs x > 1 and pi(x) >= 1")
-    c = (constants or default_constants()).wolf_c
-    return (x / pi_x) * (2.0 * math.log(pi_x) - math.log(x) + c)
+    return (x / pi_x) * (2.0 * math.log(pi_x) - math.log(x) + _wolf_c())
 
 
-def wolf_max_gap_at_index(p_n: int, n: int, constants: Constants | None = None) -> float:
+def wolf_max_gap_at_index(p_n: int, n: int) -> float:
     """Wolf's estimate in record coordinates, x = p_n and pi(x) = n.
 
     Substituting x ~ n log n for the inner log x gives
@@ -136,8 +118,7 @@ def wolf_max_gap_at_index(p_n: int, n: int, constants: Constants | None = None) 
         raise ValueError("record coordinates need n >= 1 and p_n >= 2")
     if n == 1:
         return math.nan
-    c = (constants or default_constants()).wolf_c
-    return (p_n / n) * (2.0 * math.log(n) - math.log(n * math.log(n)) + c)
+    return (p_n / n) * (2.0 * math.log(n) - math.log(n * math.log(n)) + _wolf_c())
 
 
 def kourbatov_bound(p: float) -> float:
@@ -204,24 +185,21 @@ def compare_moments(summary: MomentSummary, ks: list[int]) -> list[ComparisonRow
     return rows
 
 
-def compare_max_gaps(
-    records: list[MaxGapRecord], constants: Constants | None = None
-) -> list[ComparisonRow]:
+def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:
     """Record gaps against the conjectured curves on both scales.
 
     Every model column is emitted on the n scale and the p_n scale
     where it has two natural arguments; kourbatov is the raw polynomial
     (negative for tiny p), wolf is nan at n = 1.
     """
-    consts = constants or default_constants()
     rows = []
     for rec in records:
         models = {
             "cramer_shanks_n": cramer_shanks(rec.index),
             "cramer_shanks_pn": cramer_shanks(rec.lower_prime),
-            "granville_n": granville(rec.index, consts),
-            "granville_pn": granville(rec.lower_prime, consts),
-            "wolf": wolf_max_gap_at_index(rec.lower_prime, rec.index, consts),
+            "granville_n": granville(rec.index),
+            "granville_pn": granville(rec.lower_prime),
+            "wolf": wolf_max_gap_at_index(rec.lower_prime, rec.index),
             "kourbatov": _kourbatov_raw(rec.lower_prime),
         }
         observed = float(rec.gap)

@@ -47,11 +47,14 @@ class MaxGapRecord:
 
 @dataclass(frozen=True)
 class TauHistogram:
-    """tau_d(x): how often each gap d occurs below the limit."""
+    """tau_d(x): how often each gap d occurs between primes below x.
+
+    This is the record-file convention, the one a tau file stores:
+    STRICT boundary and the first gap d_1 = 1 excluded, so every gap is
+    even.
+    """
 
     limit: int
-    rule: BoundaryRule
-    include_first: bool
     counts: Mapping[int, int]
 
     @property
@@ -62,10 +65,7 @@ class TauHistogram:
         for d, c in self.counts.items():
             if c <= 0:
                 raise ValueError(f"non-positive count {c} for gap {d}")
-            if d == 1:
-                if not self.include_first:
-                    raise ValueError("gap 1 present but first gap excluded")
-            elif d % 2:
+            if d % 2:
                 raise ValueError(f"odd gap {d} in histogram")
 
 
@@ -257,22 +257,17 @@ def gap_statistics(
     return next(gap_statistics_at([limit], rule, include_first))
 
 
-def tau_histogram(
-    limit: int,
-    rule: BoundaryRule = BoundaryRule.STRICT,
-    include_first: bool = False,
-) -> TauHistogram:
-    acc = gap_statistics(limit, rule, include_first)
-    counts = dict(sorted(acc.counts.items()))
-    hist = TauHistogram(limit=limit, rule=rule, include_first=include_first, counts=counts)
+def tau_histogram(limit: int) -> TauHistogram:
+    """tau_d(limit) in the record-file convention of TauHistogram."""
+    acc = gap_statistics(limit)
+    hist = TauHistogram(limit=limit, counts=dict(sorted(acc.counts.items())))
     hist.validate()
     return hist
 
 
-# Numbers past b sieved in the same pass as (a, b].  The window holds
-# nextprime(b) unless the gap after b is longer, which no prime gap
-# below 2**64 is; the loop then sieves further windows of this width.
-# Every window ends at 2**63 at the latest, the end of the range.
+# Numbers past b sieved in the same pass as (a, b].  It holds
+# nextprime(b), since no prime gap below 2**64 exceeds 1550 (the shipped
+# record table); near the top it is cut at 2**63, the end of the range.
 _NEXT_PRIME_WINDOW = 1 << 12
 
 
@@ -295,23 +290,20 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
         raise ValueError(f"b = {b} exceeds supported range 2**63 - 1")
     first = last = after = None
     count = 0
-    lo, bound = a + 1, b + 1 + _NEXT_PRIME_WINDOW
-    while after is None:
-        bound = min(bound, MAX_LIMIT + 1)
-        for seg in iter_prime_segments(bound, lo=lo):
-            primes = seg.primes
-            cut = int(np.searchsorted(primes, b, side="right"))
-            if cut:
-                if first is None:
-                    first = int(primes[0])
-                last = int(primes[cut - 1])
-                count += cut
-            if cut < primes.size:
-                after = int(primes[cut])
-                break
-        if after is None and bound > MAX_LIMIT:
-            raise ValueError(f"no prime follows b = {b} below 2**63")
-        lo, bound = bound, bound + _NEXT_PRIME_WINDOW
+    bound = min(b + 1 + _NEXT_PRIME_WINDOW, MAX_LIMIT + 1)
+    for seg in iter_prime_segments(bound, lo=a + 1):
+        primes = seg.primes
+        cut = int(np.searchsorted(primes, b, side="right"))
+        if cut:
+            if first is None:
+                first = int(primes[0])
+            last = int(primes[cut - 1])
+            count += cut
+        if cut < primes.size:
+            after = int(primes[cut])
+            break
+    if after is None:
+        raise ValueError(f"no prime follows b = {b} below {bound}")
     if count < 2:
         raise ValueError(f"interval ({a}, {b}] holds {count} primes; need >= 2")
     return last - first, b - a, after - first

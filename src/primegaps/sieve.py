@@ -168,18 +168,14 @@ def prime_count(x: int) -> int:
     return sum(seg.primes.size for seg in iter_prime_segments(x + 1))
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed: nth_prime(1) = 2."""
     if n < 1:
         raise ValueError(f"prime index {n} must be >= 1")
-    if n <= len(_SMALL_PRIMES):
-        return _SMALL_PRIMES[n - 1]
-    # p_n < n (log n + log log n) for n >= 6
-    ln = math.log(n)
-    bound = int(n * (ln + math.log(ln))) + 1
+    # p_m < m (log m + log log m) for m >= 6, and p_n <= p_m for n <= m
+    m = max(n, 6)
+    ln = math.log(m)
+    bound = int(m * (ln + math.log(ln))) + 1
     if bound > MAX_LIMIT:
         raise ValueError(f"prime index {n} out of supported range")
     seen = 0

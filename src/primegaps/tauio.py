@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 from .gapstats import TauHistogram, tau_histogram
-from .sieve import BoundaryRule
 
 __all__ = [
     "TauFormatError", "TauDiff", "TauVerification",
@@ -25,13 +24,7 @@ class TauFormatError(ValueError):
 
 
 def format_tau(histogram: TauHistogram) -> str:
-    """The histogram as the text of a tau file: the one owner of the format.
-
-    Only the record-file convention has a tau format: STRICT boundary
-    and first gap excluded, so every gap is even.
-    """
-    if histogram.rule is not BoundaryRule.STRICT or histogram.include_first:
-        raise ValueError("tau files hold STRICT, first-gap-excluded histograms only")
+    """The histogram as the text of a tau file: the one owner of the format."""
     histogram.validate()
     return "".join(f"{d} {histogram.counts[d]}\n" for d in sorted(histogram.counts))
 
@@ -70,9 +63,7 @@ def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
                 raise TauFormatError(f"{path}:{lineno}: non-positive count {count}")
             counts[gap] = count
             last_gap = gap
-    return TauHistogram(
-        limit=limit, rule=BoundaryRule.STRICT, include_first=False, counts=counts
-    )
+    return TauHistogram(limit=limit, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,7 @@ _MAX_REPORTED_DIFFS = 10
 def verify_tau(reference_path: str | os.PathLike, limit: int) -> TauVerification:
     """Recompute tau counts at the limit and diff against a reference file."""
     reference = read_tau(reference_path, limit)
-    computed = tau_histogram(limit, BoundaryRule.STRICT, include_first=False)
+    computed = tau_histogram(limit)
     diffs = []
     for gap in sorted(set(reference.counts) | set(computed.counts)):
         ref = reference.counts.get(gap, 0)

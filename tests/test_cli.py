@@ -156,7 +156,14 @@ def test_moments_below_two_gaps_writes_nothing(tmp_path, capsys):
     assert "n >= 2" in captured.err
     path = tmp_path / "m.txt"
     assert main(["moments", "--limit", "7", "--out", str(path)]) == 2
-    assert path.read_text(encoding="ascii") == ""
+    assert not path.exists()
+
+
+def test_failed_run_leaves_an_existing_out_file_untouched(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("earlier report\n", encoding="ascii")
+    assert main(["moments", "--limit", "7", "--out", str(path)]) == 2
+    assert path.read_text(encoding="ascii") == "earlier report\n"
 
 
 def test_table1_rejects_non_power_limits(capsys):
@@ -250,15 +257,42 @@ def test_expmodel_summary(tmp_path):
     assert "spacings n=100 seed=5 generator=numpy-pcg64 sum=1.0000" in text
 
 
-def test_module_entry_point_runs():
-    # the child finds the package where this process imported it from
+def run_module(argv, stdout=subprocess.PIPE, **env):
+    """`python -m primegaps argv` in a child that finds the package where
+    this process imported it from."""
     paths = [str(Path(primegaps.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "primegaps", "taus", "--limit", "100"],
-        capture_output=True,
+    return subprocess.run(
+        [sys.executable, "-m", "primegaps", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **env},
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_module(["taus", "--limit", "100"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2 8"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_the_run_quietly(unbuffered, tmp_path, capsys):
+    # the reader of the pipe is gone before the first line, as after
+    # `| head -1`; unbuffered, the report's own write fails, buffered the
+    # final flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(
+            ["figure-data", "--limit", "100000"], stdout=write_end, PYTHONUNBUFFERED=unbuffered
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    # an --out path that cannot be opened is still an input error
+    missing = tmp_path / "missing" / "fig.csv"
+    assert main(["figure-data", "--limit", "1000", "--out", str(missing)]) == 2
+    assert "No such file" in capsys.readouterr().err

@@ -7,12 +7,12 @@ import math
 import pytest
 
 from primegaps import (
+    EULER_GAMMA,
     BoundaryRule,
     MaxGapRecord,
     compare_max_gaps,
     compare_moments,
     cramer_shanks,
-    default_constants,
     exp_moment_model,
     gap_statistics,
     granville,
@@ -25,6 +25,7 @@ from primegaps import (
     wolf_max_gap,
     wolf_max_gap_at_index,
 )
+from primegaps.conjectures import GRANVILLE_COEFF
 
 # Published first-moment column over the full power-of-two grid
 # (t, gap count n, mu'_1); the n >= 2^36 counts are rounded to 5 digits.
@@ -45,11 +46,12 @@ MU1_GRID = [
 
 
 def test_constants_match_their_expansions():
-    consts = default_constants()
-    assert consts.granville_coeff == pytest.approx(1.1229, abs=1e-4)
-    assert consts.granville_coeff == pytest.approx(2 * math.exp(-consts.gamma), rel=1e-15)
-    assert consts.wolf_c == pytest.approx(0.2778769, abs=1e-6)
-    assert abs(consts.wolf_c - math.log(consts.twin_c2)) < 1e-9
+    assert GRANVILLE_COEFF == pytest.approx(1.1229, abs=1e-4)
+    assert GRANVILLE_COEFF == pytest.approx(2 * math.exp(-EULER_GAMMA), rel=1e-15)
+    assert granville(math.e) == GRANVILLE_COEFF
+    twin_c2, wolf_c = twin_constant(10**6)
+    assert wolf_c == pytest.approx(0.2778769, abs=1e-6)
+    assert abs(wolf_c - math.log(twin_c2)) < 1e-9
 
 
 def test_twin_constant_decreases_with_the_truncation_bound():
@@ -113,9 +115,8 @@ def test_kourbatov_bound_values_and_domain():
 
 
 def test_wolf_estimate_spot_values():
-    consts = default_constants()
-    assert wolf_max_gap(1 << 20, 82025, consts) == pytest.approx(115.6213, abs=1e-3)
-    assert wolf_max_gap(10**6, 78498, consts) == pytest.approx(114.7039, abs=1e-3)
+    assert wolf_max_gap(1 << 20, 82025) == pytest.approx(115.6213, abs=1e-3)
+    assert wolf_max_gap(10**6, 78498) == pytest.approx(114.7039, abs=1e-3)
     with pytest.raises(ValueError):
         wolf_max_gap(0.5, 100)
     with pytest.raises(ValueError):
@@ -124,11 +125,11 @@ def test_wolf_estimate_spot_values():
 
 def test_wolf_record_form_reduces_algebraically():
     # with p_n = e*n the record form collapses to e(log n - log log n + c)
-    consts = default_constants()
+    wolf_c = twin_constant(10**6)[1]
     n = 10**6
     p = int(round(math.e * n))
-    expected = math.e * (math.log(n) - math.log(math.log(n)) + consts.wolf_c)
-    assert wolf_max_gap_at_index(p, n, consts) == pytest.approx(expected, rel=1e-6)
+    expected = math.e * (math.log(n) - math.log(math.log(n)) + wolf_c)
+    assert wolf_max_gap_at_index(p, n) == pytest.approx(expected, rel=1e-6)
 
 
 def test_wolf_record_form_is_undefined_at_the_first_record():

@@ -17,6 +17,7 @@ from primegaps import (
     gap_statistics,
     gap_statistics_at,
     interval_gap_bracket,
+    known_max_gap_records,
     max_gap_records,
     merge,
     moments,
@@ -86,7 +87,7 @@ def test_histogram_totals_on_random_limits(oracle_primes_1e6):
     rng = random.Random(20260815)
     for _ in range(20):
         limit = rng.randrange(10, 10**6)
-        hist = tau_histogram(limit, BoundaryRule.STRICT, include_first=False)
+        hist = tau_histogram(limit)
         strictly_below = sum(1 for p in oracle_primes_1e6 if p < limit)
         assert hist.total == max(strictly_below - 2, 0)
         hist.validate()
@@ -209,12 +210,12 @@ def test_moments_input_validation(acc_100k):
 
 def test_histogram_validate_rejects_bad_shapes():
     with pytest.raises(ValueError, match="non-positive"):
-        TauHistogram(100, BoundaryRule.STRICT, False, {2: 0}).validate()
+        TauHistogram(100, {2: 0}).validate()
     with pytest.raises(ValueError, match="odd gap"):
-        TauHistogram(100, BoundaryRule.STRICT, False, {3: 1}).validate()
-    with pytest.raises(ValueError, match="first gap excluded"):
-        TauHistogram(100, BoundaryRule.STRICT, False, {1: 1}).validate()
-    TauHistogram(100, BoundaryRule.INCLUSIVE, True, {1: 1, 2: 5}).validate()
+        TauHistogram(100, {3: 1}).validate()
+    # the first gap d_1 = 1 is outside the tau convention
+    with pytest.raises(ValueError, match="odd gap"):
+        TauHistogram(100, {1: 1}).validate()
 
 
 # interval bracketing
@@ -259,10 +260,16 @@ def test_bracket_agrees_with_miller_rabin_at_height(a, b):
     assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
 
 
-def test_bracket_searches_past_a_short_window_for_the_next_prime(monkeypatch):
-    # 113 -> 127 is longer than a 4-number window, so several windows follow b
+def test_next_prime_window_exceeds_every_known_maximal_gap():
+    # so the one walk past b finds nextprime(b) for every b below 2^64
+    assert gapstats._NEXT_PRIME_WINDOW > max(r.gap for r in known_max_gap_records())
+
+
+def test_bracket_walks_past_b_once(monkeypatch):
+    # 113 -> 127 is longer than a 4-number window: no second window is sieved
     monkeypatch.setattr(gapstats, "_NEXT_PRIME_WINDOW", 4)
-    assert interval_gap_bracket(100, 113) == oracles.naive_bracket(100, 113) == (12, 13, 26)
+    with pytest.raises(ValueError, match="no prime follows b = 113 below 118"):
+        interval_gap_bracket(100, 113)
 
 
 def miller_rabin_segments(bound, lo=2):

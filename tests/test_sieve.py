@@ -74,7 +74,10 @@ def test_simple_sieve_inclusive_boundary():
 
 @pytest.mark.parametrize(
     "n, p",
-    [(1, 2), (2, 3), (6, 13), (25, 97), (168, 997), (217, 1327), (1000, 7919), (3512, 32749)],
+    [
+        (1, 2), (2, 3), (3, 5), (4, 7), (5, 11), (6, 13), (7, 17),
+        (25, 97), (168, 997), (217, 1327), (1000, 7919), (3512, 32749),
+    ],
 )
 def test_nth_prime_spot_values(n, p):
     assert nth_prime(n) == p

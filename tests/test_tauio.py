@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from primegaps import BoundaryRule, TauHistogram, read_tau, tau_histogram, verify_tau, write_tau
+from primegaps import TauHistogram, read_tau, tau_histogram, verify_tau, write_tau
 from primegaps.cli import main
 from primegaps.tauio import TauFormatError, format_tau
 
@@ -14,12 +14,7 @@ from primegaps.tauio import TauFormatError, format_tau
 def random_histogram(rng: random.Random) -> TauHistogram:
     gaps = sorted(rng.sample(range(1, 400), rng.randrange(1, 40)))
     counts = {2 * g: rng.randrange(1, 10**6) for g in gaps}
-    return TauHistogram(
-        limit=rng.randrange(10, 10**9),
-        rule=BoundaryRule.STRICT,
-        include_first=False,
-        counts=counts,
-    )
+    return TauHistogram(limit=rng.randrange(10, 10**9), counts=counts)
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -59,20 +54,10 @@ def test_stdout_and_file_share_the_tau_format(tmp_path, capsys):
 
 def test_empty_histogram_round_trips(tmp_path):
     path = tmp_path / "empty.dat"
-    empty = TauHistogram(10, BoundaryRule.STRICT, False, {})
+    empty = TauHistogram(10, {})
     write_tau(path, empty)
     assert path.read_bytes() == b""
     assert read_tau(path, 10).counts == {}
-
-
-def test_writer_refuses_off_convention_histograms(tmp_path):
-    path = tmp_path / "bad.dat"
-    inclusive = TauHistogram(100, BoundaryRule.INCLUSIVE, False, {2: 1})
-    with pytest.raises(ValueError, match="STRICT"):
-        write_tau(path, inclusive)
-    with_first = TauHistogram(100, BoundaryRule.STRICT, True, {1: 1, 2: 1})
-    with pytest.raises(ValueError, match="first"):
-        write_tau(path, with_first)
 
 
 def test_reader_accepts_any_column_whitespace(tmp_path):
@@ -118,7 +103,7 @@ def test_verify_names_a_perturbed_gap(tmp_path):
     counts = dict(hist.counts)
     counts[10] += 1
     path = tmp_path / "off.dat"
-    write_tau(path, TauHistogram(hist.limit, hist.rule, hist.include_first, counts))
+    write_tau(path, TauHistogram(hist.limit, counts))
     result = verify_tau(path, 10**4)
     assert not result.matches
     assert len(result.differences) == 1
