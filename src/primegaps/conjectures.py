@@ -70,12 +70,18 @@ def _wolf_c() -> float:
 
 
 def exp_moment_model(n: int, k: int) -> float:
-    """Exponential-model moment: k! (log n)^k; k = 0 gives 1 exactly."""
+    """Exponential-model moment: k! (log n)^k; exactly 1 at k = 0; ValueError past float range."""
     if n < 2:
         raise ValueError(f"model needs n >= 2, got {n}")
     if k < 0:
         raise ValueError(f"moment order {k} must be >= 0")
-    return math.factorial(k) * math.log(n) ** k
+    try:
+        value = math.factorial(k) * math.log(n) ** k
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"model moment k! (log n)^k overflows a float at k={k}, n={n}")
+    return value
 
 
 def oes_power_sum(x: float, k: int) -> float:

@@ -2,14 +2,16 @@
 
 sieve_segment is the one marking kernel: it sieves an odd-only boolean
 mask of one window, so a segment of 2**20 numbers costs half a megabyte
-and never touches memory proportional to the overall limit.
+and never touches memory proportional to the overall limit.  Base primes
+up to _LOOP_PRIME_LIMIT clear a strided slice each, larger ones a single
+index store for all (the bucket idea of Oliveira e Silva, Herzog and Pardi,
+Math. Comp. 83, 2014); both are exact to 2**63 - 1, the cap on every limit.
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1), which simple_sieve finds by walking the same
 segments one level down.  The segment size is a parameter of that
 walker alone: it trades mask memory against per-segment overhead and
 never changes a prime, so every caller above it takes the default.
 Gap statistics are folded from the segments' prime arrays in gapstats.
-All limits are capped at 2**63 - 1.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ MAX_LIMIT = 2**63 - 1
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # Guards the per-segment mask allocation, not the overall limit.
 MAX_SEGMENT_SIZE = 1 << 26
+# Past this a slice per prime costs more than its marks; bases below 2**26 stop short of it.
+_LOOP_PRIME_LIMIT = 8192
 
 
 class BoundaryRule(Enum):
@@ -103,6 +107,14 @@ def _missing_base_prime(base: np.ndarray, need: int) -> bool:
     return False
 
 
+def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
+    """Index i, for first_odd + 2 i, of each odd p's first odd multiple >= max(p^2, first_odd).
+
+    Works in index space, where no int64 product reaches 2^63 for p <= isqrt(2^63 - 1)."""
+    half = (primes + 1) // 2  # the inverse of 2 mod p
+    return np.maximum((-first_odd) % primes * half % primes, (primes * primes - first_odd) // 2)
+
+
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     """Sieve the window [lo, hi) using precomputed base primes.
 
@@ -125,16 +137,23 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     mask = np.ones(count, dtype=bool)
     if first_odd == 1:
         mask[0] = False
-    for p in base.tolist():
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
+    stop = np.searchsorted(base, need, side="right")
+    split = min(stop, np.searchsorted(base, _LOOP_PRIME_LIMIT, side="right"))
+    for p in base[np.searchsorted(base, 3) : split].tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start % 2 == 0:
             start += p
-        if start < hi:
-            mask[(start - first_odd) // 2 :: p] = False
+        mask[(start - first_odd) // 2 :: p] = False
+    large = base[split:stop]
+    if large.size:
+        start = _start_indices(first_odd, large)
+        large, start = large[start < count], start[start < count]
+        reps = (count - 1 - start) // large + 1
+        # a run of strides per prime, each run's first step jumping from the last run's end
+        last = start + (reps - 1) * large
+        step = np.repeat(large, reps)
+        step[np.cumsum(reps) - reps] = start - np.concatenate(([0], last))[:-1]
+        mask[np.cumsum(step)] = False
     odds = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
     if lo <= 2 < hi:
         odds = np.concatenate(([np.int64(2)], odds))

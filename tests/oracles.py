@@ -24,6 +24,31 @@ def naive_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+def loop_window_primes(lo: int, hi: int, base) -> list[int]:
+    """Primes in [lo, hi) by one strided pass per odd base prime, in Python ints.
+
+    The per-prime loop the segment kernel started from, over a bytearray of
+    the window's odd numbers.  base is ascending and must hold every prime
+    <= isqrt(hi - 1) for the result to be the true primes.
+    """
+    first_odd = lo | 1
+    flags = bytearray([1]) * ((hi - first_odd + 1) // 2)
+    if first_odd == 1:
+        flags[0] = 0
+    for p in map(int, base):
+        if p == 2:
+            continue
+        if p * p >= hi:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        if start % 2 == 0:
+            start += p
+        i = (start - first_odd) // 2
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
+    odds = [first_odd + 2 * i for i, f in enumerate(flags) if f]
+    return [2, *odds] if lo <= 2 < hi else odds
+
+
 def naive_gaps(limit: int, inclusive: bool, include_first: bool) -> list[tuple[int, int, int]]:
     """(index, lower_prime, gap) triples with the upper prime <x (or <=x)."""
     primes = naive_primes(limit if inclusive else limit - 1)

@@ -129,6 +129,15 @@ def test_bad_moment_orders_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("k", ["170", "200"])
+def test_moment_orders_past_float_range_are_usage_errors(k, capsys):
+    # 170! (log n)^170 is inf and 200! alone does not convert to a float
+    assert main(["moments", "--limit", "1000", "--k", k]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: model moment k! (log n)^k overflows a float at k={k}, n=166\n"
+
+
 def test_maximal_gaps_report(tmp_path):
     path = tmp_path / "records.csv"
     assert main(["maximal-gaps", "--limit", "10000", "--out", str(path)]) == 0

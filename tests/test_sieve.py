@@ -20,10 +20,12 @@ from primegaps import (
     simple_sieve,
     sieve_segment,
 )
+from primegaps import sieve
 from primegaps.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
     MAX_SEGMENT_SIZE,
+    _start_indices,
     iter_prime_segments,
 )
 
@@ -229,3 +231,69 @@ def test_window_cuts_concatenate_to_the_same_primes(cuts):
     edges = [lo, *sorted(lo + c for c in cuts), hi]
     parts = [sieve_segment(a, b, base).primes for a, b in zip(edges, edges[1:])]
     assert np.concatenate(parts).tolist() == sieve_segment(lo, hi, base).primes.tolist()
+
+
+# Full 2^20 windows are where base primes above sieve._LOOP_PRIME_LIMIT hit
+# many times each; the 4096-wide windows above never see one hit twice.
+@pytest.mark.parametrize("height", [2**30, 2**36], ids=["2^30", "2^36"])
+def test_full_window_matches_the_per_prime_loop(height, base_2p24):
+    lo = height + 12345
+    hi = lo + DEFAULT_SEGMENT_SIZE
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+_P = 8209  # the first prime above sieve._LOOP_PRIME_LIMIT
+# 131071 * _Q is near 2^36, and its least prime factor, 2^17 - 1, is above the limit
+_Q = oracles.next_prime(2**36 // 131071)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(_P**2 - 4096, _P**2 + 1), (_P**2, _P**2 + 4096),
+     (131071 * _Q, 131071 * _Q + 2**17), (131071 * _Q - 2**17, 131071 * _Q + 1)],
+    ids=["ends-on-p^2", "starts-on-p^2", "starts-on-multiple", "ends-on-multiple"],
+)
+def test_window_edges_on_large_prime_multiples(lo, hi, base_2p24):
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+    edge = lo if lo in (_P**2, 131071 * _Q) else hi - 1
+    assert edge not in got
+
+
+# lo is drawn one binary octave at a time, so most windows sit above 2^26,
+# the first height whose base reaches past sieve._LOOP_PRIME_LIMIT
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda e: st.integers(2 ** (e - 1) + 1, 2**e)),
+       st.integers(1, 2**17))
+def test_random_windows_match_the_per_prime_loop(base_2p24, lo, width):
+    hi = lo + width
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+# No test can hold a base up to isqrt(2^63 - 1), so the start indices of the
+# largest admissible primes are checked against Python ints directly.
+_TOP_PRIMES = [oracles.prev_prime(math.isqrt(MAX_LIMIT))]
+for _ in range(4):
+    _TOP_PRIMES.append(oracles.prev_prime(_TOP_PRIMES[-1] - 1))
+
+
+@pytest.mark.parametrize("first_odd", [1, _P**2 - 2 * 99, 2**63 - 2**20 + 1, 2**63 - 3])
+def test_start_indices_are_exact_near_2_63(first_odd):
+    primes = [_P, 8219, 8221, 131071, *_TOP_PRIMES]
+    want = []
+    for p in primes:
+        m = max(p * p, -(-first_odd // p) * p)
+        want.append((m + p * (m % 2 == 0) - first_odd) // 2)
+    assert _start_indices(first_odd, np.array(primes, dtype=np.int64)).tolist() == want
+
+
+def test_top_window_agrees_with_the_loop_on_a_partial_base(monkeypatch):
+    # with the completeness check off, both sides cross off the same primes
+    # near the 2^63 edge, where int64 has no room for absolute multiples
+    monkeypatch.setattr(sieve, "_missing_base_prime", lambda base, need: False)
+    base = [*simple_sieve(12000).tolist(), *reversed(_TOP_PRIMES)]
+    lo, hi = MAX_LIMIT + 1 - DEFAULT_SEGMENT_SIZE, MAX_LIMIT + 1
+    got = sieve_segment(lo, hi, np.array(base)).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base)
