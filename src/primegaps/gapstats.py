@@ -184,7 +184,10 @@ def moments(acc: GapAccumulator, ks: Iterable[int]) -> MomentSummary:
     sums = {k: power_sum(acc, k) for k in orders}
     s1 = sums.get(1, power_sum(acc, 1))
     s2 = sums.get(2, power_sum(acc, 2))
-    mus = {k: float(Fraction(s, n)) for k, s in sums.items()}
+    try:
+        mus = {k: float(Fraction(s, n)) for k, s in sums.items()}
+    except OverflowError:  # every gap is >= 1, so S_k/n grows with k
+        raise ValueError(f"gap moment S_k/n overflows a float at k={orders[-1]}, n={n}") from None
     mean = float(Fraction(s1, n))
     if n < 2:
         return MomentSummary(n, sums, mus, mean, None, None)

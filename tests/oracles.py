@@ -7,6 +7,7 @@ under test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -154,18 +155,53 @@ def harmonic2(n: int) -> Fraction:
 
 def order_stat_mean_exact(i: int, n: int, lam: float) -> float:
     """E of the i-th smallest of n iid exponentials, exact float tail sum."""
-    import math
-
     return math.fsum(1.0 / j for j in range(n - i + 1, n + 1)) / lam
 
 
 def erlang_upper_tail(n: int, x: float) -> float:
     """P(sum of n iid Exp(1) > x), exact series."""
-    import math
-
     term = 1.0
     total = 1.0
     for k in range(1, n):
         term *= x / k
         total += term
     return math.exp(-x) * total
+
+
+# (H_n, sum of 1/j^2 for j <= n) to 30 significant digits.  Computed with
+# mpmath 1.3.0 at 50 digits as harmonic(n) and zeta(2) - psi(1, n + 1).
+# The rows up to 10**5 are checked against the term-by-term sum in
+# test_expmodel.
+HARMONIC_TABLE = {
+    10**3: ("7.48547086055034491265651820433", "1.64393456668155980313905802382"),
+    10**4: ("9.78760603604438226417847790485", "1.64483407184805976980608183331"),
+    10**5: ("12.0901461298634279473632193635", "1.64492406689822626980574850331"),
+    10**6: ("14.3927267228657236313811274932", "1.64493306684872643630574849998"),
+    10**7: ("16.6953113658598518153991189395", "1.64493396684823143647224849998"),
+    10**8: ("18.9978964138538983244171103942", "1.64493405684822648647241499998"),
+    10**9: ("21.3004815023479440166851018489", "1.64493406584822643697241516648"),
+    10**10: ("23.6030665948919897007855933036", "1.64493406674822643647741516665"),
+    10**11: ("25.9056516878410353848044097583", "1.64493406683822643647246516665"),
+    10**12: ("28.208236780830581068822409463", "1.64493406684722643647241566665"),
+    10**13: ("30.5108218738241767528404010001", "1.64493406684812643647241517165"),
+    10**14: ("32.8134069668181774368583924557", "1.6449340668482164364724151667"),
+    10**15: ("35.1159920598122186208763839103", "1.64493406684822543647241516665"),
+    10**16: ("37.418577152806263854894375365", "1.64493406684822633647241516665"),
+    10**17: ("39.7211622458003094939123668197", "1.64493406684822642647241516665"),
+    10**18: ("42.0237473387943551734303582744", "1.64493406684822643547241516665"),
+    2**62: ("43.5523408596181420445833238377", "1.64493406684822643625557473215"),
+    2**63 - 1: ("44.2454880401780873538379256333", "1.6449340668482264363639949494"),
+}
+
+# Longest range summed term by term; covers i = 100002 at any height.
+RECIP_SUM_TERMS = 2 * 10**5
+
+
+def recip_sum(lo: int, hi: int, power: int) -> float:
+    """Sum of 1/j^power over lo <= j <= hi: every term exactly rounded and
+    summed by fsum for short ranges, else a HARMONIC_TABLE row (lo = 1)."""
+    if hi - lo + 1 <= RECIP_SUM_TERMS:
+        return math.fsum(1.0 / j**power for j in range(lo, hi + 1))
+    if lo == 1 and hi in HARMONIC_TABLE:
+        return float(HARMONIC_TABLE[hi][power - 1])
+    raise ValueError(f"no oracle for [{lo}, {hi}]")

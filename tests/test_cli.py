@@ -138,6 +138,14 @@ def test_moment_orders_past_float_range_are_usage_errors(k, capsys):
     assert err == f"error: model moment k! (log n)^k overflows a float at k={k}, n=166\n"
 
 
+def test_gap_moments_past_float_range_are_usage_errors(capsys):
+    # the gaps below 10^6 reach 114, and 114^160 alone exceeds the largest float
+    assert main(["moments", "--limit", "1000000", "--k", "160"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: gap moment S_k/n overflows a float at k=160, n=78496\n"
+
+
 def test_maximal_gaps_report(tmp_path):
     path = tmp_path / "records.csv"
     assert main(["maximal-gaps", "--limit", "10000", "--out", str(path)]) == 0

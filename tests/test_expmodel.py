@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from primegaps import (
     simulate_uniform_spacings,
     uptail_quantile_asym,
 )
+from primegaps.cli import main
 from primegaps.expmodel import ZETA2
 
 import oracles
@@ -89,12 +91,68 @@ def test_harmonic_asymptotic_error_band(n):
     assert abs(h_n - math.log(n) - EULER_GAMMA) < 1 / (2 * n) + 1e-12
 
 
-def test_sum_tiers_agree_across_the_crossover():
+def test_harmonic_sums_match_a_direct_sum_past_ten_million_terms():
     n = 10**7 + 10
     direct = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
     assert order_stat_mean(n, n, 1.0) == pytest.approx(direct, rel=1e-12)
     direct2 = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64) ** 2))
     assert order_stat_var(n, n, 1.0) == pytest.approx(direct2, rel=1e-12)
+
+
+# (i, n): order statistic i of n, i.e. the reciprocal sums over [n - i + 1, n]
+_ACCURACY_GRID = [
+    # where the old difference of two Euler-Maclaurin values lost its digits
+    (100001, 10**12),
+    (100001, 2**62),
+    (100002, 201 * 10**5),
+    # close ends near 2^62 and at the top of the range
+    (1, 2**62),
+    (2, 2**62),
+    (6, 2**62),
+    (1000, 2**62 + 12345),
+    (1, 2**63 - 1),
+    (7, 2**63 - 1),
+    (10**5, 2**63 - 1),
+    (6, 10**8),
+    # ranges that straddle j = 64, where the term-by-term head meets the tail
+    (2, 64),
+    (64, 64),
+    (10, 70),
+    (60, 100),
+    (100, 163),
+    (65, 65),
+    (1000, 1063),
+    (5000, 10**7),
+    # the whole range [1, n]: the oracle's high-precision table
+    *((10**k, 10**k) for k in range(5, 19)),
+    (2**62, 2**62),
+    (2**63 - 1, 2**63 - 1),
+]
+
+
+@pytest.mark.parametrize("i, n", _ACCURACY_GRID)
+def test_order_stats_match_the_oracle_to_1e_14(i, n):
+    for got, power in ((order_stat_mean(i, n, 1.0), 1), (order_stat_var(i, n, 1.0), 2)):
+        want = oracles.recip_sum(n - i + 1, n, power)
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_oracle_table_matches_the_term_by_term_sum(n):
+    for power in (1, 2):
+        want = oracles.recip_sum(1, n, power)
+        assert float(oracles.HARMONIC_TABLE[n][power - 1]) == pytest.approx(want, rel=1e-15)
+
+
+def test_expmodel_report_peaks_below_one_mebibyte(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["expmodel", "--n", "10000000"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("n=10000000 ")
+    assert peak < 1 << 20
 
 
 def test_quantile_cdf_round_trip_random():
