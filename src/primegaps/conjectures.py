@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .expmodel import EULER_GAMMA
+from .expmodel import EULER_GAMMA, exp_moment
 from .gapstats import MaxGapRecord, MomentSummary
 from .sieve import simple_sieve
 
@@ -76,12 +76,9 @@ def exp_moment_model(n: int, k: int) -> float:
     if k < 0:
         raise ValueError(f"moment order {k} must be >= 0")
     try:
-        value = math.factorial(k) * math.log(n) ** k
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"model moment k! (log n)^k overflows a float at k={k}, n={n}")
-    return value
+        return exp_moment(k, 1 / math.log(n))
+    except ValueError:
+        raise ValueError(f"model moment k! (log n)^k overflows a float at k={k}, n={n}") from None
 
 
 def oes_power_sum(x: float, k: int) -> float:

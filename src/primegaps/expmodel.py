@@ -57,14 +57,19 @@ class ExpParams:
 
 
 def exp_moment(r: float, rate: float) -> float:
-    """E[X^r] = Gamma(r + 1) / rate^r for X ~ Exp(rate), r > -1."""
+    """E[X^r] = Gamma(r + 1) / rate^r for X ~ Exp(rate), r > -1; ValueError past float range."""
     if not r > -1:
         raise ValueError(f"moment order {r} must exceed -1")
     if not rate > 0:
         raise ValueError(f"rate {rate} must be positive")
-    if float(r).is_integer() and r >= 0:
-        return math.factorial(int(r)) / rate ** int(r)
-    return math.gamma(r + 1) / rate**r
+    try:
+        whole = float(r).is_integer() and r >= 0
+        value = (math.factorial(int(r)) if whole else math.gamma(r + 1)) / rate**r
+    except (OverflowError, ZeroDivisionError):  # rate^r underflowing to 0 means a huge quotient
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"Gamma(r + 1) / rate^r is past float range at r={r}, rate={rate}")
+    return value
 
 
 def _recip_sum(lo: int, hi: int, power: int) -> float:

@@ -182,8 +182,8 @@ def moments(acc: GapAccumulator, ks: Iterable[int]) -> MomentSummary:
     if n == 0:
         raise ValueError("empty accumulator has no moments")
     sums = {k: power_sum(acc, k) for k in orders}
-    s1 = sums.get(1, power_sum(acc, 1))
-    s2 = sums.get(2, power_sum(acc, 2))
+    s1 = sums[1] if 1 in sums else power_sum(acc, 1)
+    s2 = sums[2] if 2 in sums else power_sum(acc, 2)
     try:
         mus = {k: float(Fraction(s, n)) for k, s in sums.items()}
     except OverflowError:  # every gap is >= 1, so S_k/n grows with k

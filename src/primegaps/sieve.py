@@ -2,10 +2,11 @@
 
 sieve_segment is the one marking kernel: it sieves an odd-only boolean
 mask of one window, so a segment of 2**20 numbers costs half a megabyte
-and never touches memory proportional to the overall limit.  Base primes
-up to _LOOP_PRIME_LIMIT clear a strided slice each, larger ones a single
-index store for all (the bucket idea of Oliveira e Silva, Herzog and Pardi,
-Math. Comp. 83, 2014); both are exact to 2**63 - 1, the cap on every limit.
+and never touches memory proportional to the overall limit.  One start
+rule, exact to 2**63 - 1 (the cap on every limit), gives every odd base
+prime its first index; primes up to _LOOP_PRIME_LIMIT clear a strided slice
+each, and all larger ones share one stride loop that drops each prime once
+it leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014).
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1), which simple_sieve finds by walking the same
 segments one level down.  The segment size is a parameter of that
@@ -40,7 +41,7 @@ MAX_LIMIT = 2**63 - 1
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # Guards the per-segment mask allocation, not the overall limit.
 MAX_SEGMENT_SIZE = 1 << 26
-# Past this a slice per prime costs more than its marks; bases below 2**26 stop short of it.
+# Slices up to here, the stride loop above: past here a slice costs more than its marks.
 _LOOP_PRIME_LIMIT = 8192
 
 
@@ -137,23 +138,17 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     mask = np.ones(count, dtype=bool)
     if first_odd == 1:
         mask[0] = False
-    stop = np.searchsorted(base, need, side="right")
-    split = min(stop, np.searchsorted(base, _LOOP_PRIME_LIMIT, side="right"))
-    for p in base[np.searchsorted(base, 3) : split].tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        mask[(start - first_odd) // 2 :: p] = False
-    large = base[split:stop]
-    if large.size:
-        start = _start_indices(first_odd, large)
-        large, start = large[start < count], start[start < count]
-        reps = (count - 1 - start) // large + 1
-        # a run of strides per prime, each run's first step jumping from the last run's end
-        last = start + (reps - 1) * large
-        step = np.repeat(large, reps)
-        step[np.cumsum(reps) - reps] = start - np.concatenate(([0], last))[:-1]
-        mask[np.cumsum(step)] = False
+    odd = base[np.searchsorted(base, 3) : np.searchsorted(base, need, side="right")]
+    starts = _start_indices(first_odd, odd)
+    split = np.searchsorted(odd, _LOOP_PRIME_LIMIT, side="right")
+    for p, i in zip(odd[:split].tolist(), starts[:split].tolist()):
+        mask[i::p] = False
+    large, start = odd[split:], starts[split:]
+    while large.size:  # one mark per live prime a round, at most count / 8192 + 1 rounds
+        live = start < count
+        large, start = large[live], start[live]
+        mask[start] = False
+        start += large
     odds = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
     if lo <= 2 < hi:
         odds = np.concatenate(([np.int64(2)], odds))
@@ -181,9 +176,6 @@ def iter_prime_segments(
 
 def prime_count(x: int) -> int:
     """pi(x): number of primes <= x."""
-    if x < 2:
-        return 0
-    _check_limit(x)
     return sum(seg.primes.size for seg in iter_prime_segments(x + 1))
 
 

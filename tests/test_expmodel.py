@@ -42,6 +42,12 @@ def test_exp_moment_small_orders():
     assert exp_moment(0.5, 1.0) == pytest.approx(math.gamma(1.5), rel=1e-14)
 
 
+@pytest.mark.parametrize("r", [200, 180.5])
+def test_exp_moment_past_float_range_is_a_value_error(r):
+    with pytest.raises(ValueError, match=f"past float range at r={r}, rate=1.0"):
+        exp_moment(r, 1.0)
+
+
 def test_exp_moment_scaling_law():
     # scaling a rate-lambda variable by c yields rate lambda/c
     rng = random.Random(42)
@@ -91,12 +97,16 @@ def test_harmonic_asymptotic_error_band(n):
     assert abs(h_n - math.log(n) - EULER_GAMMA) < 1 / (2 * n) + 1e-12
 
 
+def _direct_recip_sum(n: int, power: int) -> float:
+    # chunks of 2^20 terms keep the reference to a few MB at any n
+    chunks = (np.arange(a, min(a + 2**20, n + 1), dtype=np.float64) for a in range(1, n + 1, 2**20))
+    return math.fsum(float(np.sum(1.0 / c**power)) for c in chunks)
+
+
 def test_harmonic_sums_match_a_direct_sum_past_ten_million_terms():
     n = 10**7 + 10
-    direct = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
-    assert order_stat_mean(n, n, 1.0) == pytest.approx(direct, rel=1e-12)
-    direct2 = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64) ** 2))
-    assert order_stat_var(n, n, 1.0) == pytest.approx(direct2, rel=1e-12)
+    assert order_stat_mean(n, n, 1.0) == pytest.approx(_direct_recip_sum(n, 1), rel=1e-12)
+    assert order_stat_var(n, n, 1.0) == pytest.approx(_direct_recip_sum(n, 2), rel=1e-12)
 
 
 # (i, n): order statistic i of n, i.e. the reciprocal sums over [n - i + 1, n]

@@ -72,6 +72,8 @@ def test_simple_sieve_inclusive_boundary():
     assert simple_sieve(7).tolist() == [2, 3, 5, 7]
     assert simple_sieve(8).tolist() == [2, 3, 5, 7]
     assert simple_sieve(1).size == 0
+    assert prime_count(1) == 0
+    assert prime_count(-3) == 0
 
 
 @pytest.mark.parametrize(
@@ -116,6 +118,8 @@ def test_sieve_segment_accepts_base_ending_before_composite_need():
 def test_limit_cap_enforced():
     with pytest.raises(ValueError):
         simple_sieve(MAX_LIMIT + 1)
+    with pytest.raises(ValueError, match="exceeds supported range"):
+        prime_count(2**63)
 
 
 def test_segment_size_bounds_enforced():
