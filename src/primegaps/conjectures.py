@@ -219,18 +219,21 @@ def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:
     return rows
 
 
-def known_max_gap_records() -> list[MaxGapRecord]:
-    """The shipped table of first-occurrence maximal gaps below 2^64."""
+@cache
+def _fixture_records() -> tuple[MaxGapRecord, ...]:
     path = resources.files("primegaps").joinpath("data/max_gap_records.csv")
-    records = []
     with path.open("r", encoding="ascii") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        for row in reader:
-            records.append(
-                MaxGapRecord(
-                    index=int(row["n"]), gap=int(row["G_n"]), lower_prime=int(row["p_n"])
-                )
-            )
+        records = tuple(
+            MaxGapRecord(index=int(row["n"]), gap=int(row["G_n"]), lower_prime=int(row["p_n"]))
+            for row in reader
+        )
     if [r.index for r in records] != sorted(r.index for r in records):
         raise ValueError("record fixture is not sorted by index")
     return records
+
+
+def known_max_gap_records() -> list[MaxGapRecord]:
+    """The shipped table of first-occurrence maximal gaps below 2^64, parsed
+    and checked once per process; each call gets a fresh list."""
+    return list(_fixture_records())

@@ -42,6 +42,11 @@ ZETA2 = math.pi**2 / 6
 _HEAD = 64
 
 
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate {rate} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class ExpParams:
     """Sample size and rate of an iid Exp(rate) model."""
@@ -52,16 +57,14 @@ class ExpParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"sample size {self.n} must be >= 1")
-        if not self.rate > 0:
-            raise ValueError(f"rate {self.rate} must be positive")
+        _check_rate(self.rate)
 
 
 def exp_moment(r: float, rate: float) -> float:
     """E[X^r] = Gamma(r + 1) / rate^r for X ~ Exp(rate), r > -1; ValueError past float range."""
     if not r > -1:
         raise ValueError(f"moment order {r} must exceed -1")
-    if not rate > 0:
-        raise ValueError(f"rate {rate} must be positive")
+    _check_rate(rate)
     try:
         whole = float(r).is_integer() and r >= 0
         value = (math.factorial(int(r)) if whole else math.gamma(r + 1)) / rate**r
@@ -101,6 +104,12 @@ def _check_order(i: int, n: int) -> None:
         raise ValueError(f"order statistic index {i} outside 1..{n}")
 
 
+def _finite(value: float, i: int, n: int, rate: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"order statistic {i} of {n} is past float range at rate={rate}")
+    return value
+
+
 def order_stat_mean(i: int, n: int, rate: float) -> float:
     """Mean of the i-th smallest of n iid Exp(rate) values.
 
@@ -108,17 +117,16 @@ def order_stat_mean(i: int, n: int, rate: float) -> float:
     minimum has mean 1/(n*rate) and the maximum H_n/rate.
     """
     _check_order(i, n)
-    if not rate > 0:
-        raise ValueError(f"rate {rate} must be positive")
-    return _recip_sum(n - i + 1, n, 1) / rate
+    _check_rate(rate)
+    return _finite(_recip_sum(n - i + 1, n, 1) / rate, i, n, rate)
 
 
 def order_stat_var(i: int, n: int, rate: float) -> float:
     """Variance of the i-th smallest: (1/rate^2) * sum_{j=n-i+1}^{n} 1/j^2."""
     _check_order(i, n)
-    if not rate > 0:
-        raise ValueError(f"rate {rate} must be positive")
-    return _recip_sum(n - i + 1, n, 2) / (rate * rate)
+    _check_rate(rate)
+    scale = rate * rate  # 0.0 below rate ~1.5e-162
+    return _finite(_recip_sum(n - i + 1, n, 2) / scale if scale else math.inf, i, n, rate)
 
 
 def _check_q(q: float) -> None:
@@ -197,8 +205,7 @@ def large_dev_tail(a: float, rate: float, n: int) -> float:
     right up to O(log n)/n terms, the value itself can be off by the
     usual sqrt(n) prefactor.
     """
-    if not rate > 0:
-        raise ValueError(f"rate {rate} must be positive")
+    _check_rate(rate)
     if n < 1:
         raise ValueError(f"sample count {n} must be >= 1")
     if not a > 1 / rate:

@@ -8,11 +8,11 @@ prime its first index; primes up to _LOOP_PRIME_LIMIT clear a strided slice
 each, and all larger ones share one stride loop that drops each prime once
 it leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014).
 iter_prime_segments walks any window [lo, bound) with the base primes
-<= isqrt(bound - 1), which simple_sieve finds by walking the same
-segments one level down.  The segment size is a parameter of that
-walker alone: it trades mask memory against per-segment overhead and
-never changes a prime, so every caller above it takes the default.
-Gap statistics are folded from the segments' prime arrays in gapstats.
+<= isqrt(bound - 1) from simple_sieve, which starts from a read-only table
+of the primes <= isqrt(isqrt(2**63 - 1)) built once per process by the
+same kernel, so no sieve recurses more than one level.  The segment size
+is a parameter of the walker alone and never changes a prime.  Gap
+statistics are folded from the segments' prime arrays in gapstats.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -43,6 +44,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_SEGMENT_SIZE = 1 << 26
 # Slices up to here, the stride loop above: past here a slice costs more than its marks.
 _LOOP_PRIME_LIMIT = 8192
+# simple_sieve's table: every base sieve up to isqrt(MAX_LIMIT) takes its base from it.
+_TABLE_LIMIT = math.isqrt(math.isqrt(MAX_LIMIT))
 
 
 class BoundaryRule(Enum):
@@ -74,18 +77,37 @@ def _check_limit(x: int) -> None:
         raise ValueError(f"limit {x} exceeds supported range 2**63 - 1")
 
 
-def simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as one ascending int64 array.
+@cache
+def _small_primes() -> np.ndarray:
+    """Every prime <= _TABLE_LIMIT, read-only: each pass squares the reach of its base."""
+    primes = np.array([2, 3], dtype=np.int64)
+    for hi in (16, 256, _TABLE_LIMIT):
+        primes = sieve_segment(2, hi + 1, primes).primes
+    return primes
 
-    The primes are the concatenated segments of iter_prime_segments,
-    whose base primes come from simple_sieve(isqrt(limit)), so the
-    recursion bottoms out after a few levels.  Memory is pi(limit)
-    int64 values plus one segment mask.
+
+def simple_sieve(limit: int) -> np.ndarray:
+    """All primes <= limit as one ascending int64 array, the caller's own copy.
+
+    Up to _TABLE_LIMIT this is a prefix of the table.  Above it the
+    segments of iter_prime_segments past the table fill one array sized
+    by Dusart's bound on pi(limit); their base simple_sieve(isqrt(limit))
+    is the table or one walk over it, so the recursion is at most one
+    level deep.  Memory is about pi(limit) int64 values plus one mask.
     """
-    parts = [seg.primes for seg in iter_prime_segments(limit + 1)]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    table = _small_primes()
+    if limit <= _TABLE_LIMIT:
+        return table[: np.searchsorted(table, limit, side="right")].copy()
+    _check_limit(limit)
+    ln = math.log(limit)
+    out = np.empty(int(limit / ln * (1 + 1.2762 / ln)) + 1, dtype=np.int64)
+    n = table.size
+    out[:n] = table
+    for seg in iter_prime_segments(limit + 1, lo=_TABLE_LIMIT + 1):
+        out[n : n + seg.primes.size] = seg.primes
+        n += seg.primes.size
+    out.resize(n, refcheck=False)
+    return out
 
 
 def _missing_base_prime(base: np.ndarray, need: int) -> bool:

@@ -146,6 +146,15 @@ def test_gap_moments_past_float_range_are_usage_errors(capsys):
     assert err == "error: gap moment S_k/n overflows a float at k=160, n=78496\n"
 
 
+@pytest.mark.parametrize("rate", ["1e-320", "inf"])
+def test_expmodel_rates_outside_float_range_are_usage_errors(rate, capsys):
+    assert main(["expmodel", "--n", "10", "--rate", rate]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_maximal_gaps_report(tmp_path):
     path = tmp_path / "records.csv"
     assert main(["maximal-gaps", "--limit", "10000", "--out", str(path)]) == 0

@@ -214,6 +214,13 @@ def test_shipped_record_table_shape():
         assert a.lower_prime < b.lower_prime
 
 
+def test_shipped_record_table_is_a_fresh_list_each_call():
+    records = known_max_gap_records()
+    records[0] = records.pop()
+    assert known_max_gap_records()[:1] == [MaxGapRecord(index=1, gap=1, lower_prime=2)]
+    assert len(known_max_gap_records()) == 80
+
+
 def test_shipped_records_revalidated_by_sieving():
     limit = 5 * 10**6
     acc = gap_statistics(limit, BoundaryRule.INCLUSIVE, include_first=True)

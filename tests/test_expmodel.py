@@ -154,6 +154,13 @@ def test_oracle_table_matches_the_term_by_term_sum(n):
         assert float(oracles.HARMONIC_TABLE[n][power - 1]) == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("stat", [order_stat_mean, order_stat_var])
+def test_order_stats_past_float_range_are_value_errors(stat):
+    # 1/1e-320 overflows, and 1e-320 ** 2 underflows to 0
+    with pytest.raises(ValueError, match="statistic 10 of 10 is past float range at rate=1e-320"):
+        stat(10, 10, 1e-320)
+
+
 def test_expmodel_report_peaks_below_one_mebibyte(capsys):
     tracemalloc.start()
     try:
@@ -224,6 +231,8 @@ def test_exp_params_validation():
         ExpParams(n=5, rate=0.0)
     with pytest.raises(ValueError):
         ExpParams(n=5, rate=-2.0)
+    with pytest.raises(ValueError, match="rate inf must be finite and positive"):
+        ExpParams(n=5, rate=math.inf)
 
 
 def test_max_mean_asymptotic_at_desk_scale():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from primegaps.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
     MAX_SEGMENT_SIZE,
+    _TABLE_LIMIT,
     _start_indices,
     iter_prime_segments,
 )
@@ -32,16 +34,50 @@ from primegaps.sieve import (
 import oracles
 
 
-# segments start at 2, so the first 2^20-number one ends at 2^20 + 2: the
-# limits from 2^20 - 1 on sit at that edge or past it; 1031^2 is the first
-# prime square past 2^20
+# Limits up to _TABLE_LIMIT are a prefix of the base-prime table.  Above it
+# the segments start at _TABLE_LIMIT + 1, so _TABLE_LIMIT + 2^20 is the last
+# limit that fits one 2^20-number segment and 3 * 2^20 + 7 needs three;
+# 1031^2 is the first prime square past 2^20
 @pytest.mark.parametrize(
     "limit",
     [0, 1, 2, 3, 4, 5, 30, 97, 100, 1000, 10**4,
-     2**20 - 1, 2**20, 2**20 + 1, 2**20 + 2, 1031**2, 3 * 2**20 + 7],
+     _TABLE_LIMIT - 1, _TABLE_LIMIT, _TABLE_LIMIT + 1,
+     oracles.prev_prime(_TABLE_LIMIT), oracles.next_prime(_TABLE_LIMIT),
+     2**20 - 1, 2**20, 2**20 + 1, 2**20 + 2, 1031**2,
+     _TABLE_LIMIT + 2**20, _TABLE_LIMIT + 2**20 + 1, 3 * 2**20 + 7],
 )
 def test_simple_sieve_matches_naive(limit):
     assert simple_sieve(limit).tolist() == oracles.naive_primes(limit)
+
+
+def test_simple_sieve_hands_out_copies():
+    first = simple_sieve(100)
+    first[:] = 4
+    assert simple_sieve(100).tolist() == oracles.naive_primes(100)
+
+
+def test_simple_sieve_peaks_near_its_result():
+    # one array sized by Dusart's bound on pi(x), shrunk in place
+    tracemalloc.start()
+    try:
+        primes = simple_sieve(2**26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * primes.nbytes
+
+
+def test_a_window_at_2_40_sieves_its_base_in_at_most_two_calls(monkeypatch):
+    limits = []
+    original = sieve.simple_sieve
+
+    def counted(limit):
+        limits.append(limit)
+        return original(limit)
+
+    monkeypatch.setattr(sieve, "simple_sieve", counted)
+    next(iter_prime_segments(2**40 + DEFAULT_SEGMENT_SIZE, lo=2**40))
+    assert len(limits) <= 2
 
 
 def test_segment_concatenation_is_complete(oracle_primes_1e6):
