@@ -15,10 +15,8 @@ from .conjectures import (
     exp_moment_model,
     granville,
     known_max_gap_records,
-    kourbatov_bound,
     oes_power_sum,
     twin_constant,
-    wolf_max_gap,
     wolf_max_gap_at_index,
 )
 from .expmodel import (
@@ -37,7 +35,6 @@ from .expmodel import (
     order_stat_var,
     simulate_spacings,
     simulate_uniform_spacings,
-    uptail_quantile_asym,
 )
 from .gapstats import (
     GapAccumulator,

@@ -32,9 +32,7 @@ __all__ = [
     "oes_power_sum",
     "cramer_shanks",
     "granville",
-    "wolf_max_gap",
     "wolf_max_gap_at_index",
-    "kourbatov_bound",
     "compare_moments",
     "compare_max_gaps",
     "known_max_gap_records",
@@ -104,13 +102,6 @@ def granville(z: float) -> float:
     return GRANVILLE_COEFF * math.log(z) ** 2
 
 
-def wolf_max_gap(x: float, pi_x: int) -> float:
-    """Wolf's estimate G(x) ~ (x / pi(x)) (2 log pi(x) - log x + c)."""
-    if x <= 1 or pi_x < 1:
-        raise ValueError("wolf estimate needs x > 1 and pi(x) >= 1")
-    return (x / pi_x) * (2.0 * math.log(pi_x) - math.log(x) + _wolf_c())
-
-
 def wolf_max_gap_at_index(p_n: int, n: int) -> float:
     """Wolf's estimate in record coordinates, x = p_n and pi(x) = n.
 
@@ -124,20 +115,8 @@ def wolf_max_gap_at_index(p_n: int, n: int) -> float:
     return (p_n / n) * (2.0 * math.log(n) - math.log(n * math.log(n)) + _wolf_c())
 
 
-def kourbatov_bound(p: float) -> float:
-    """Conjectured record lower bound (log p)^2 - log p - 1, for p >= e^2.
-
-    Raises when the polynomial is not positive (p below about 5.05).
-    """
-    if p <= 1:
-        raise ValueError(f"prime scale {p} must exceed 1")
-    value = _kourbatov_raw(p)
-    if value <= 0:
-        raise ValueError(f"bound is not positive at {p}; needs larger p")
-    return value
-
-
 def _kourbatov_raw(p: float) -> float:
+    """Kourbatov's conjectured record lower bound (log p)^2 - log p - 1; < 0 below p ~ 5.05."""
     lp = math.log(p)
     return lp * lp - lp - 1.0
 

@@ -26,7 +26,6 @@ __all__ = [
     "max_order_quantile",
     "max_order_cdf",
     "max_order_sf",
-    "uptail_quantile_asym",
     "max_order_mean_asym",
     "max_order_var_asym",
     "large_dev_tail",
@@ -174,13 +173,6 @@ def max_order_quantile(q: float, params: ExpParams) -> float:
     _check_q(q)
     t = math.log1p(-q) / params.n
     return -math.log(-math.expm1(t)) / params.rate
-
-
-def uptail_quantile_asym(k: float, n: float) -> float:
-    """Asymptote 2 log(n) log(k) for the upper-tail quantile scale."""
-    if n <= 1 or k <= 1:
-        raise ValueError("uptail asymptote needs n > 1 and k > 1")
-    return 2.0 * math.log(n) * math.log(k)
 
 
 def max_order_mean_asym(n: float) -> float:

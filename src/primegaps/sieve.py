@@ -3,10 +3,12 @@
 sieve_segment is the one marking kernel: it sieves an odd-only boolean
 mask of one window, so a segment of 2**20 numbers costs half a megabyte
 and never touches memory proportional to the overall limit.  One start
-rule, exact to 2**63 - 1 (the cap on every limit), gives every odd base
-prime its first index; primes up to _LOOP_PRIME_LIMIT clear a strided slice
-each, and all larger ones share one stride loop that drops each prime once
-it leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014).
+rule, one in-place modulo per prime and exact to 2**63 - 1 (the cap on
+every limit), gives every odd base prime its first index.  Primes up to
+_LOOP_PRIME_LIMIT clear a strided slice each; larger ones below the
+window's odd count share one stride loop that drops each prime once it
+leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014); the
+rest hit the window at most once and are marked in one store.
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1) from simple_sieve, which starts from a read-only table
 of the primes <= isqrt(isqrt(2**63 - 1)) built once per process by the
@@ -133,9 +135,18 @@ def _missing_base_prime(base: np.ndarray, need: int) -> bool:
 def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
     """Index i, for first_odd + 2 i, of each odd p's first odd multiple >= max(p^2, first_odd).
 
-    Works in index space, where no int64 product reaches 2^63 for p <= isqrt(2^63 - 1)."""
-    half = (primes + 1) // 2  # the inverse of 2 mod p
-    return np.maximum((-first_odd) % primes * half % primes, (primes * primes - first_odd) // 2)
+    The odd multiples of p are p + 2 p k, so i = (p - first_odd) / 2 mod p:
+    one modulo, computed in place in the result, on values below 2^62 in
+    magnitude.  Only the primes with p^2 > first_odd, a tail of the
+    ascending list, are then raised to the index of p^2."""
+    i = primes >> 1
+    i -= first_odd >> 1
+    i %= primes
+    tail = np.searchsorted(primes, math.isqrt(first_odd), side="right")
+    if tail < primes.size:
+        p = primes[tail:]
+        np.maximum(i[tail:], (p * p - first_odd) // 2, out=i[tail:])
+    return i
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
@@ -161,17 +172,24 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     if first_odd == 1:
         mask[0] = False
     odd = base[np.searchsorted(base, 3) : np.searchsorted(base, need, side="right")]
-    starts = _start_indices(first_odd, odd)
-    split = np.searchsorted(odd, _LOOP_PRIME_LIMIT, side="right")
-    for p, i in zip(odd[:split].tolist(), starts[:split].tolist()):
-        mask[i::p] = False
-    large, start = odd[split:], starts[split:]
-    while large.size:  # one mark per live prime a round, at most count / 8192 + 1 rounds
-        live = start < count
-        large, start = large[live], start[live]
-        mask[start] = False
-        start += large
-    odds = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
+    if odd.size:
+        starts = _start_indices(first_odd, odd)
+        split = np.searchsorted(odd, _LOOP_PRIME_LIMIT, side="right")
+        for p, i in zip(odd[:split].tolist(), starts[:split].tolist()):
+            mask[i::p] = False
+        # a prime >= count has at most one odd multiple in the window: one store marks them all
+        cut = max(split, np.searchsorted(odd, count))
+        large, start = odd[split:cut], starts[split:cut]
+        while large.size:  # one mark per live prime a round, at most count / 8192 + 1 rounds
+            live = start < count
+            large, start = large[live], start[live]
+            mask[start] = False
+            start += large
+        once = starts[cut:]
+        mask[once[once < count]] = False
+    odds = np.flatnonzero(mask)
+    odds *= 2
+    odds += first_odd
     if lo <= 2 < hi:
         odds = np.concatenate(([np.int64(2)], odds))
     return PrimeSegment(lo=lo, hi=hi, primes=odds)

@@ -16,16 +16,14 @@ from primegaps import (
     exp_moment_model,
     gap_statistics,
     granville,
-    kourbatov_bound,
     known_max_gap_records,
     max_gap_records,
     moments,
     oes_power_sum,
     twin_constant,
-    wolf_max_gap,
     wolf_max_gap_at_index,
 )
-from primegaps.conjectures import GRANVILLE_COEFF
+from primegaps.conjectures import GRANVILLE_COEFF, _kourbatov_raw
 
 # Published first-moment column over the full power-of-two grid
 # (t, gap count n, mu'_1); the n >= 2^36 counts are rounded to 5 digits.
@@ -102,25 +100,7 @@ def test_square_log_curves_published_values():
 def test_model_ordering():
     for z in (2, 10, 100, 10**6, 10**15):
         assert cramer_shanks(z) < granville(z)
-        assert kourbatov_bound(float(z)) < cramer_shanks(z) if z >= 7 else True
-
-
-def test_kourbatov_bound_values_and_domain():
-    assert kourbatov_bound(math.exp(2)) == pytest.approx(1.0, rel=1e-12)
-    assert kourbatov_bound(1327.0) == pytest.approx(43.5151, abs=1e-3)
-    assert kourbatov_bound(113.0) == pytest.approx(16.6208, abs=1e-3)
-    for p in (1.0, 2.0, 5.0):
-        with pytest.raises(ValueError):
-            kourbatov_bound(p)
-
-
-def test_wolf_estimate_spot_values():
-    assert wolf_max_gap(1 << 20, 82025) == pytest.approx(115.6213, abs=1e-3)
-    assert wolf_max_gap(10**6, 78498) == pytest.approx(114.7039, abs=1e-3)
-    with pytest.raises(ValueError):
-        wolf_max_gap(0.5, 100)
-    with pytest.raises(ValueError):
-        wolf_max_gap(100.0, 0)
+        assert _kourbatov_raw(float(z)) < cramer_shanks(z)
 
 
 def test_wolf_record_form_reduces_algebraically():

@@ -26,7 +26,6 @@ from primegaps import (
     order_stat_var,
     simulate_spacings,
     simulate_uniform_spacings,
-    uptail_quantile_asym,
 )
 from primegaps.cli import main
 from primegaps.expmodel import ZETA2
@@ -247,14 +246,6 @@ def test_max_var_asymptotic_constant():
     exact = order_stat_var(n, n, 1.0 / math.log(n))
     assert exact / math.log(n) ** 2 == pytest.approx(ZETA2, rel=1e-6)
     assert max_order_var_asym(n) == pytest.approx(ZETA2 * math.log(n) ** 2, rel=1e-12)
-
-
-def test_uptail_quantile_tracks_its_asymptote():
-    n = 10**6
-    params = ExpParams(n=n, rate=1.0 / math.log(n))
-    exact = max_order_quantile(1.0 / n, params)
-    assert exact == pytest.approx(uptail_quantile_asym(n, n), rel=0.02)
-    assert uptail_quantile_asym(n, n) == pytest.approx(2 * math.log(n) ** 2, rel=1e-12)
 
 
 def test_large_dev_tail_validation():

@@ -319,14 +319,57 @@ for _ in range(4):
     _TOP_PRIMES.append(oracles.prev_prime(_TOP_PRIMES[-1] - 1))
 
 
-@pytest.mark.parametrize("first_odd", [1, _P**2 - 2 * 99, 2**63 - 2**20 + 1, 2**63 - 3])
-def test_start_indices_are_exact_near_2_63(first_odd):
-    primes = [_P, 8219, 8221, 131071, *_TOP_PRIMES]
+def _python_start_indices(first_odd: int, primes: list[int]) -> list[int]:
     want = []
     for p in primes:
         m = max(p * p, -(-first_odd // p) * p)
         want.append((m + p * (m % 2 == 0) - first_odd) // 2)
-    assert _start_indices(first_odd, np.array(primes, dtype=np.int64)).tolist() == want
+    return want
+
+
+@pytest.mark.parametrize("first_odd", [1, _P**2 - 2 * 99, 2**63 - 2**20 + 1, 2**63 - 3])
+def test_start_indices_are_exact_near_2_63(first_odd):
+    primes = [_P, 8219, 8221, 131071, *_TOP_PRIMES]
+    got = _start_indices(first_odd, np.array(primes, dtype=np.int64)).tolist()
+    assert got == _python_start_indices(first_odd, primes)
+
+
+# first_odd is drawn one binary octave at a time up to 2^63 - 1.  The primes
+# around isqrt(first_odd) put p^2 on both sides of it: the first with
+# p^2 > first_odd opens the tail that is floored at p^2, the one before it
+# must be left alone.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 63).flatmap(lambda e: st.integers(2 ** (e - 1), 2**e - 1)))
+def test_start_indices_match_python_ints(n):
+    first_odd = n | 1
+    root = math.isqrt(first_odd)
+    above = oracles.next_prime(root)
+    near = [oracles.prev_prime(max(root, 3)), above, oracles.next_prime(above)]
+    top = math.isqrt(MAX_LIMIT)
+    primes = sorted({p for p in [3, 5, 7, 8191, _P, *near, *_TOP_PRIMES] if 2 < p <= top})
+    got = _start_indices(first_odd, np.array(primes, dtype=np.int64)).tolist()
+    assert got == _python_start_indices(first_odd, primes)
+
+
+def _twin_above(n: int) -> int:
+    q = oracles.next_prime(n)
+    while not oracles.is_prime_mr(q + 2):
+        q = oracles.next_prime(q)
+    return q
+
+
+# A base prime p >= the window's odd count hits the window at most once and
+# goes to the one-hit store; p = count - 2 hits twice when its first multiple
+# has index 0 or 1.  8219 and 8221 are twin primes, and so are q and q + 2
+# above 2^27, so in a window starting on 8219^2 or 8219 q the next odd
+# multiple of 8219 has no other base prime to mark it.
+@pytest.mark.parametrize("count", [8217, 8219, 8221], ids=["p-2", "p", "p+2"])
+@pytest.mark.parametrize("k", [8219, _twin_above(2**27)], ids=["p^2", "p*q"])
+def test_windows_whose_odd_count_is_near_a_base_prime(count, k, base_2p24):
+    lo = 8219 * k
+    hi = lo + 2 * count
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
 
 
 def test_top_window_agrees_with_the_loop_on_a_partial_base(monkeypatch):
