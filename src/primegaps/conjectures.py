@@ -97,9 +97,7 @@ def cramer_shanks(z: float) -> float:
 
 def granville(z: float) -> float:
     """Granville's corrected scale 2 e^-gamma (log z)^2 ~ 1.1229 (log z)^2."""
-    if z < 1:
-        raise ValueError(f"scale {z} must be >= 1")
-    return GRANVILLE_COEFF * math.log(z) ** 2
+    return GRANVILLE_COEFF * cramer_shanks(z)
 
 
 def wolf_max_gap_at_index(p_n: int, n: int) -> float:
@@ -125,7 +123,7 @@ def _kourbatov_raw(p: float) -> float:
 class ComparisonRow:
     """Observed value against one or more model curves.
 
-    ratios holds observed/model per model key (nan where the model
+    ratios derives observed/model per model key (nan where the model
     vanishes or is undefined).  exceeds_granville is set on maximal-gap
     rows: G_n > 2 e^-gamma (log n)^2, trivially true at n = 1.
     """
@@ -134,15 +132,15 @@ class ComparisonRow:
     x_or_pn: int
     observed: float
     model_values: Mapping[str, float]
-    ratios: Mapping[str, float]
     k: int | None = None
     exceeds_granville: bool | None = None
 
-
-def _ratio(observed: float, model: float) -> float:
-    if not math.isfinite(model) or model <= 0:
-        return math.nan
-    return observed / model
+    @property
+    def ratios(self) -> dict[str, float]:
+        return {
+            key: self.observed / model if math.isfinite(model) and model > 0 else math.nan
+            for key, model in self.model_values.items()
+        }
 
 
 def compare_moments(summary: MomentSummary, ks: list[int]) -> list[ComparisonRow]:
@@ -160,7 +158,6 @@ def compare_moments(summary: MomentSummary, ks: list[int]) -> list[ComparisonRow
                 x_or_pn=n,
                 observed=observed,
                 model_values={"exp_moment": model},
-                ratios={"exp_moment": _ratio(observed, model)},
                 k=k,
             )
         )
@@ -191,7 +188,6 @@ def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:
                 x_or_pn=rec.lower_prime,
                 observed=observed,
                 model_values=models,
-                ratios={key: _ratio(observed, value) for key, value in models.items()},
                 exceeds_granville=rec.gap > models["granville_n"],
             )
         )
@@ -207,8 +203,8 @@ def _fixture_records() -> tuple[MaxGapRecord, ...]:
             MaxGapRecord(index=int(row["n"]), gap=int(row["G_n"]), lower_prime=int(row["p_n"]))
             for row in reader
         )
-    if [r.index for r in records] != sorted(r.index for r in records):
-        raise ValueError("record fixture is not sorted by index")
+    if any(a.index >= b.index or a.gap >= b.gap for a, b in zip(records, records[1:])):
+        raise ValueError("record fixture: index and gap must strictly ascend")
     return records
 
 

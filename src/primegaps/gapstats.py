@@ -61,12 +61,18 @@ class TauHistogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
+    @staticmethod
+    def check_pair(gap: int, count: int) -> None:
+        """The one rule for a tau pair, shared with the tau-file reader."""
+        if gap < 2 or gap % 2 or count <= 0:
+            raise ValueError(
+                f"invalid gap {gap} or non-positive count {count}: "
+                "a tau pair is an even gap >= 2 and a positive count"
+            )
+
     def validate(self) -> None:
         for d, c in self.counts.items():
-            if c <= 0:
-                raise ValueError(f"non-positive count {c} for gap {d}")
-            if d % 2:
-                raise ValueError(f"odd gap {d} in histogram")
+            self.check_pair(d, c)
 
 
 @dataclass
@@ -125,17 +131,10 @@ def merge(left: GapAccumulator, right: GapAccumulator) -> GapAccumulator:
     """Combine summaries of adjacent index ranges into a new summary.
 
     Right-hand records are kept only where they beat everything on the
-    left, which is exactly the left-to-right maxima rule.
+    left, which is exactly the left-to-right maxima rule.  An empty side
+    needs no adjacency and leaves the other side's ends.
     """
-    if right.first_index is None:
-        return GapAccumulator(
-            left.first_index, left.last_index, Counter(left.counts), list(left.records)
-        )
-    if left.first_index is None:
-        return GapAccumulator(
-            right.first_index, right.last_index, Counter(right.counts), list(right.records)
-        )
-    if right.first_index != left.last_index + 1:
+    if left.n and right.n and right.first_index != left.last_index + 1:
         raise ValueError(
             f"ranges not adjacent: left ends at {left.last_index}, "
             f"right starts at {right.first_index}"
@@ -143,8 +142,10 @@ def merge(left: GapAccumulator, right: GapAccumulator) -> GapAccumulator:
     counts = Counter(left.counts)
     counts.update(right.counts)
     best = left.overall_max
-    records = list(left.records) + [r for r in right.records if r.gap > best]
-    return GapAccumulator(left.first_index, right.last_index, counts, records)
+    records = left.records + [r for r in right.records if r.gap > best]
+    first = right.first_index if left.first_index is None else left.first_index
+    last = left.last_index if right.last_index is None else right.last_index
+    return GapAccumulator(first, last, counts, records)
 
 
 def power_sum(acc: GapAccumulator, k: int) -> int:

@@ -227,13 +227,10 @@ def collect_records(limit: int, use_fixture: bool = False) -> list[MaxGapRecord]
     table for records whose p_n lies beyond sieving range."""
     acc = gap_statistics(limit, BoundaryRule.STRICT, include_first=True)
     records = max_gap_records(acc)
-    if use_fixture:
+    if use_fixture:  # the fixture's gaps ascend, so this is merge's maxima filter
         known = conjectures.known_max_gap_records()
         best = records[-1].gap if records else 0
-        for rec in known:
-            if rec.lower_prime + rec.gap >= limit and rec.gap > best:
-                records.append(rec)
-                best = rec.gap
+        records += [r for r in known if r.lower_prime + r.gap >= limit and r.gap > best]
     return records
 
 

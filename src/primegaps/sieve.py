@@ -8,7 +8,9 @@ every limit), gives every odd base prime its first index.  Primes up to
 _LOOP_PRIME_LIMIT clear a strided slice each; larger ones below the
 window's odd count share one stride loop that drops each prime once it
 leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014); the
-rest hit the window at most once and are marked in one store.
+rest hit the window at most once and are marked in one store.  The start
+is each prime's first odd multiple in the window, so a base prime inside
+the window strikes itself; one store after all marking restores those.
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1) from simple_sieve, which starts from a read-only table
 of the primes <= isqrt(isqrt(2**63 - 1)) built once per process by the
@@ -133,19 +135,14 @@ def _missing_base_prime(base: np.ndarray, need: int) -> bool:
 
 
 def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
-    """Index i, for first_odd + 2 i, of each odd p's first odd multiple >= max(p^2, first_odd).
+    """Index i, for first_odd + 2 i, of each odd p's first odd multiple >= first_odd.
 
     The odd multiples of p are p + 2 p k, so i = (p - first_odd) / 2 mod p:
     one modulo, computed in place in the result, on values below 2^62 in
-    magnitude.  Only the primes with p^2 > first_odd, a tail of the
-    ascending list, are then raised to the index of p^2."""
+    magnitude.  The multiple is p itself when p >= first_odd."""
     i = primes >> 1
     i -= first_odd >> 1
     i %= primes
-    tail = np.searchsorted(primes, math.isqrt(first_odd), side="right")
-    if tail < primes.size:
-        p = primes[tail:]
-        np.maximum(i[tail:], (p * p - first_odd) // 2, out=i[tail:])
     return i
 
 
@@ -187,6 +184,8 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
             start += large
         once = starts[cut:]
         mask[once[once < count]] = False
+        # base primes inside the window struck themselves
+        mask[(odd[np.searchsorted(odd, first_odd) :] - first_odd) >> 1] = True
     odds = np.flatnonzero(mask)
     odds *= 2
     odds += first_odd

@@ -53,14 +53,14 @@ def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
                 gap, count = int(fields[0]), int(fields[1])
             except ValueError as exc:
                 raise TauFormatError(f"{path}:{lineno}: non-integer field") from exc
-            if gap < 2 or gap % 2:
-                raise TauFormatError(f"{path}:{lineno}: invalid gap {gap}")
+            try:
+                TauHistogram.check_pair(gap, count)
+            except ValueError as exc:
+                raise TauFormatError(f"{path}:{lineno}: {exc}") from None
             if gap <= last_gap:
                 raise TauFormatError(
                     f"{path}:{lineno}: gap {gap} not strictly ascending"
                 )
-            if count <= 0:
-                raise TauFormatError(f"{path}:{lineno}: non-positive count {count}")
             counts[gap] = count
             last_gap = gap
     return TauHistogram(limit=limit, counts=counts)

@@ -1,10 +1,10 @@
 """End-to-end acceptance checks.
 
-Ten numbered checks gate the package: sieved moment tables, gap-count
+Eleven numbered checks gate the package: sieved moment tables, gap-count
 spots, maximal-gap records and their model columns, the first-moment
 sum identity, the variance-to-mean-squared trend, exponential order
-statistics, the twin-product constant, simulated spacings, and the
-file formats.  Each check prints exactly one verdict line on the real
+statistics, the twin-product constant, simulated spacings, the file
+formats, and the power-sum form of the moment conjecture.  Each check prints exactly one verdict line on the real
 stdout (bypassing capture) so a plain ``pytest -v`` run shows them.
 """
 
@@ -22,7 +22,9 @@ from scipy import stats
 from primegaps import cli
 from primegaps.conjectures import (
     compare_max_gaps,
+    compare_moments,
     known_max_gap_records,
+    oes_power_sum,
     twin_constant,
 )
 from primegaps.expmodel import (
@@ -329,3 +331,39 @@ def test_acceptance_10_format_suite(announce, tmp_path) -> None:
         return "byte-identical round trip; injected diff exits 1; grammar enforced"
 
     _run(announce, 10, "tau format, verification protocol, limit grammar", body)
+
+
+# pi(2^t) for t = 20..27
+_PI_POWERS_OF_TWO = (82025, 155611, 295947, 564163, 1077871, 2063689, 3957809, 7603553)
+
+
+def test_acceptance_11_power_sums_against_the_moment_model(announce) -> None:
+    def body() -> str:
+        ks = (1, 2, 3, 4)
+        limits = [1 << t for t in range(20, 28)]
+        sweep = gap_statistics_at(limits, BoundaryRule.INCLUSIVE, include_first=True)
+        model_ratios = []
+        for x, pi_x, acc in zip(limits, _PI_POWERS_OF_TWO, sweep):
+            # every gap up to x counts, so D_k(x) = S_k = n mu'_k with n = pi(x) - 1
+            n = acc.n
+            assert n == pi_x - 1
+            rows = compare_moments(moments(acc, ks), list(ks))
+            row_ratios = []
+            for row in rows:
+                k = row.k
+                model = n * math.log(n) ** k / (x * math.log(x) ** (k - 1))
+                got = power_sum(acc, k) / oes_power_sum(x, k)
+                assert _rel(got, row.ratios["exp_moment"] * model) <= 1e-14
+                row_ratios.append(model)
+            model_ratios.append(row_ratios)
+        for k, column in zip(ks, zip(*model_ratios)):
+            assert all(a < b < 1 for a, b in zip(column, column[1:])), k
+        first, last = model_ratios[0], model_ratios[-1]
+        assert abs(first[0] - 0.885) <= 1e-3 and abs(last[0] - 0.898) <= 1e-3
+        assert abs(first[3] - 0.481) <= 1e-3 and abs(last[3] - 0.545) <= 1e-3
+        return (
+            f"D_k / k! x (log x)^(k-1) = moment ratio x model ratio; model ratio "
+            f"rises {first[0]:.3f} -> {last[0]:.3f} at k = 1, {first[3]:.3f} -> {last[3]:.3f} at k = 4"
+        )
+
+    _run(announce, 11, "gap power sums against k! x (log x)^(k-1) at 2^20..2^27", body)

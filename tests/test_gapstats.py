@@ -128,8 +128,11 @@ def test_merge_is_associative(oracle_gaps_100k):
 
 
 def test_merge_with_empty_is_identity(acc_100k):
-    assert merge(acc_100k, GapAccumulator()) == acc_100k
-    assert merge(GapAccumulator(), acc_100k) == acc_100k
+    for merged in (merge(acc_100k, GapAccumulator()), merge(GapAccumulator(), acc_100k)):
+        assert merged == acc_100k
+        # a new summary: it shares no mutable state with its inputs
+        assert merged.counts is not acc_100k.counts
+        assert merged.records is not acc_100k.records
 
 
 def test_merge_rejects_non_adjacent_ranges(oracle_gaps_100k):
@@ -209,13 +212,11 @@ def test_moments_input_validation(acc_100k):
 
 
 def test_histogram_validate_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="non-positive"):
-        TauHistogram(100, {2: 0}).validate()
-    with pytest.raises(ValueError, match="odd gap"):
-        TauHistogram(100, {3: 1}).validate()
-    # the first gap d_1 = 1 is outside the tau convention
-    with pytest.raises(ValueError, match="odd gap"):
-        TauHistogram(100, {1: 1}).validate()
+    # the first gap d_1 = 1 is outside the tau convention; gaps 0 and -2 are
+    # even but no gap at all, and a tau file could not be read back with them
+    for counts in ({2: 0}, {3: 1}, {1: 1}, {0: 1}, {-2: 1}):
+        with pytest.raises(ValueError, match="invalid gap .* or non-positive count"):
+            TauHistogram(100, counts).validate()
 
 
 # interval bracketing

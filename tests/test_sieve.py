@@ -320,9 +320,10 @@ for _ in range(4):
 
 
 def _python_start_indices(first_odd: int, primes: list[int]) -> list[int]:
+    """Index of each p's first odd multiple >= first_odd, p itself included."""
     want = []
     for p in primes:
-        m = max(p * p, -(-first_odd // p) * p)
+        m = -(-first_odd // p) * p
         want.append((m + p * (m % 2 == 0) - first_odd) // 2)
     return want
 
@@ -334,10 +335,7 @@ def test_start_indices_are_exact_near_2_63(first_odd):
     assert got == _python_start_indices(first_odd, primes)
 
 
-# first_odd is drawn one binary octave at a time up to 2^63 - 1.  The primes
-# around isqrt(first_odd) put p^2 on both sides of it: the first with
-# p^2 > first_odd opens the tail that is floored at p^2, the one before it
-# must be left alone.
+# first_odd is drawn one binary octave at a time up to 2^63 - 1.
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 63).flatmap(lambda e: st.integers(2 ** (e - 1), 2**e - 1)))
 def test_start_indices_match_python_ints(n):
@@ -370,6 +368,24 @@ def test_windows_whose_odd_count_is_near_a_base_prime(count, k, base_2p24):
     hi = lo + 2 * count
     got = sieve_segment(lo, hi, base_2p24).primes.tolist()
     assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+# Windows that start on a base prime p.  The kernel marks with the primes
+# <= isqrt(hi - 1) alone, so p strikes itself, and the store after marking
+# restores it, only when hi > p^2: under MAX_SEGMENT_SIZE that is a slice
+# prime, as from lo = 3 and in [1021, 1021^2 + 1), where 1021 = isqrt(hi - 1).
+# 8191 (the last slice prime), 8219 (a stride prime at height) and 524309
+# (above the 2^19 odd count, a one-hit prime at height) start windows that
+# they do not mark.
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(3, 4), (3, 100), (3, 2**20), (1021, 1021**2 + 1),
+     (8191, 8191 + 2**20), (8219, 8219 + 2**20), (524309, 524309 + 2**20)],
+)
+def test_windows_that_start_on_a_base_prime(lo, hi, base_2p24):
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+    assert got[0] == lo
 
 
 def test_top_window_agrees_with_the_loop_on_a_partial_base(monkeypatch):

@@ -60,6 +60,13 @@ def test_empty_histogram_round_trips(tmp_path):
     assert read_tau(path, 10).counts == {}
 
 
+def test_writer_refuses_pairs_the_reader_refuses(tmp_path):
+    path = tmp_path / "bad.dat"
+    with pytest.raises(ValueError, match="invalid gap 0"):
+        write_tau(path, TauHistogram(100, {0: 5, -2: 1, 2: 3}))
+    assert not path.exists()
+
+
 def test_reader_accepts_any_column_whitespace(tmp_path):
     path = tmp_path / "loose.dat"
     path.write_text("2 10\n4\t7\n  6   3\n", encoding="ascii")
