@@ -17,6 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -123,9 +124,9 @@ def _kourbatov_raw(p: float) -> float:
 class ComparisonRow:
     """Observed value against one or more model curves.
 
-    ratios derives observed/model per model key (nan where the model
-    vanishes or is undefined).  exceeds_granville is set on maximal-gap
-    rows: G_n > 2 e^-gamma (log n)^2, trivially true at n = 1.
+    model_values is read-only, as rows may be shared; ratios derives observed/model
+    per key (nan where the model vanishes or is undefined).  exceeds_granville is
+    set on maximal-gap rows: G_n > 2 e^-gamma (log n)^2, trivially true at n = 1.
     """
 
     n: int
@@ -134,6 +135,9 @@ class ComparisonRow:
     model_values: Mapping[str, float]
     k: int | None = None
     exceeds_granville: bool | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model_values", MappingProxyType(dict(self.model_values)))
 
     @property
     def ratios(self) -> dict[str, float]:
@@ -164,34 +168,33 @@ def compare_moments(summary: MomentSummary, ks: list[int]) -> list[ComparisonRow
     return rows
 
 
+def _max_gap_row(rec: MaxGapRecord) -> ComparisonRow:
+    models = {
+        "cramer_shanks_n": cramer_shanks(rec.index),
+        "cramer_shanks_pn": cramer_shanks(rec.lower_prime),
+        "granville_n": granville(rec.index),
+        "granville_pn": granville(rec.lower_prime),
+        "wolf": wolf_max_gap_at_index(rec.lower_prime, rec.index),
+        "kourbatov": _kourbatov_raw(rec.lower_prime),
+    }
+    exceeds = rec.gap > models["granville_n"]
+    return ComparisonRow(rec.index, rec.lower_prime, float(rec.gap), models, exceeds_granville=exceeds)
+
+
+@cache
+def _fixture_rows() -> dict[MaxGapRecord, ComparisonRow]:
+    return {rec: _max_gap_row(rec) for rec in _fixture_records()}
+
+
 def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:
     """Record gaps against the conjectured curves on both scales.
 
     Every model column is emitted on the n scale and the p_n scale
     where it has two natural arguments; kourbatov is the raw polynomial
-    (negative for tiny p), wolf is nan at n = 1.
+    (negative for tiny p), wolf is nan at n = 1; fixture rows are built once and shared.
     """
-    rows = []
-    for rec in records:
-        models = {
-            "cramer_shanks_n": cramer_shanks(rec.index),
-            "cramer_shanks_pn": cramer_shanks(rec.lower_prime),
-            "granville_n": granville(rec.index),
-            "granville_pn": granville(rec.lower_prime),
-            "wolf": wolf_max_gap_at_index(rec.lower_prime, rec.index),
-            "kourbatov": _kourbatov_raw(rec.lower_prime),
-        }
-        observed = float(rec.gap)
-        rows.append(
-            ComparisonRow(
-                n=rec.index,
-                x_or_pn=rec.lower_prime,
-                observed=observed,
-                model_values=models,
-                exceeds_granville=rec.gap > models["granville_n"],
-            )
-        )
-    return rows
+    known = _fixture_rows()
+    return [known[rec] if rec in known else _max_gap_row(rec) for rec in records]
 
 
 @cache

@@ -1,9 +1,9 @@
 """Gap statistics: histograms, exact power sums, moments, record gaps.
 
-Accumulators form a monoid under merge, so a run can be split into
-contiguous index ranges, folded independently, and merged in order.
-The fold walks the sieve's segments at its default size; where the
-segments fall never changes a statistic, only the merge count.
+Accumulators form a monoid under merge, so a sweep is split into
+contiguous ranges, folded independently (long sweeps in forked
+children, one share per usable CPU) and stitched in order; where the
+cuts and the sieve's segments fall never changes a statistic.
 Power sums are plain Python integers and therefore exact at any k;
 mean, variance and the Taylor ratio are reduced as exact rationals
 before the final float conversion.
@@ -11,14 +11,17 @@ before the final float conversion.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
-from .sieve import MAX_LIMIT, BoundaryRule, iter_prime_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, iter_prime_segments
 
 __all__ = [
     "TauHistogram",
@@ -34,6 +37,9 @@ __all__ = [
     "tau_histogram",
     "interval_gap_bracket",
 ]
+
+# Fewest numbers in a share: a fork and its copy-on-write faults cost ~30 ms, repaid from 2^25 on.
+_SHARE_FLOOR = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -208,6 +214,57 @@ def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
     return list(acc.records)
 
 
+def _fold_range(lo: int, hi: int) -> tuple[GapAccumulator, int | None, int | None]:
+    """The gaps between the primes of [lo, hi), indexed from 1, and the
+    range's first and last prime (None when it holds none)."""
+    total, first, prev = GapAccumulator(), None, None
+    for seg in iter_prime_segments(hi, lo=lo):
+        if seg.primes.size:  # chained to the last prime before the segment
+            chain = seg.primes if prev is None else np.concatenate(([prev], seg.primes))
+            first, prev = int(chain[0]) if first is None else first, int(chain[-1])
+            total = merge(total, GapAccumulator.from_gap_arrays(total.n + 1, np.diff(chain), chain[:-1]))
+    return total, first, prev
+
+
+def _fold_child(share: list[tuple[int, int]], conn) -> None:
+    """A forked child sends its share's folds, or the error that stopped them."""
+    try:
+        conn.send([_fold_range(lo, hi) for lo, hi in share])
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _fold_shares(shares: list[list[tuple[int, int]]]) -> list[tuple]:
+    """Every share's folds in order, all but the first share's from forked children,
+    unless a second thread is alive (a fork copies its locks as they are) or this
+    process is a daemon."""
+    children = []
+    try:
+        if len(shares) > 1 and threading.active_count() == 1:
+            import multiprocessing  # only a split sweep pays for the import
+            if not multiprocessing.current_process().daemon:  # a daemon may have no children
+                context = multiprocessing.get_context("fork")
+                for share in shares[1:]:
+                    receiver, sender = context.Pipe(duplex=False)
+                    with sender:
+                        child = context.Process(target=_fold_child, args=(share, sender))
+                        child.start()
+                    children.append((child, receiver))
+                shares = shares[:1]
+        folds = [_fold_range(lo, hi) for share in shares for lo, hi in share]
+        for _, receiver in children:
+            result = receiver.recv()
+            if isinstance(result, Exception):
+                raise result
+            folds += result
+        return folds
+    finally:
+        for child, receiver in children:
+            child.kill()  # a no-op for a child that has sent its share
+            child.join()
+            receiver.close()
+
+
 def gap_statistics_at(
     limits: Iterable[int],
     rule: BoundaryRule = BoundaryRule.STRICT,
@@ -215,41 +272,41 @@ def gap_statistics_at(
 ) -> Iterator[GapAccumulator]:
     """Yield the accumulator of every gap below each ascending limit.
 
-    One sweep serves all the limits: the sieve resumes where the last
-    limit stopped, so the run costs max(limits) rather than their sum.
-    Each segment's primes, chained to the last prime before it, become
-    gap arrays folded by from_gap_arrays and merged in order.  Gap d_n
-    joins p_n and p_{n+1}; under STRICT the upper prime satisfies
+    Gap d_n joins p_n and p_{n+1}; under STRICT the upper prime satisfies
     p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With
     include_first=False the range starts at index 2, skipping d_1 = 1.
+    One sweep over [2, top bound) is cut at every bound and into shares
+    ending on window multiples, at most one per usable CPU (as taskset
+    sets them) and per _SHARE_FLOOR numbers; the shares after the first
+    fold in forked children, joined before the first yield.  The ranges
+    are stitched in order: indices shifted, and the one gap across each cut.
     """
-    total = GapAccumulator()
-    prev: int | None = None
-    next_index = 1
-    start = 2
-    for limit in limits:
-        if limit < 3:
-            raise ValueError(f"limit {limit} too small for any gap")
-        bound = limit if rule is BoundaryRule.STRICT else limit + 1
-        if bound < start:
-            raise ValueError(f"limits must ascend; {limit} follows a larger one")
-        for seg in iter_prime_segments(bound, lo=start):
-            primes = seg.primes
-            if primes.size == 0:
-                continue
-            chain = primes if prev is None else np.concatenate(([prev], primes))
-            prev = int(primes[-1])
-            if chain.size < 2:
-                continue
-            gaps, lowers = np.diff(chain), chain[:-1]
-            first = next_index
-            next_index += int(gaps.size)
-            if not include_first and first == 1:
-                gaps, lowers, first = gaps[1:], lowers[1:], 2
-            part = GapAccumulator.from_gap_arrays(first, gaps, lowers)
-            total = merge(total, part)
-        start = bound
-        yield total
+    limits = list(limits)
+    if limits != sorted(limits) or (limits and limits[0] < 3):
+        raise ValueError(f"limits must ascend from 3 (no gap lies below 3), got {limits}")
+    bounds = [limit if rule is BoundaryRule.STRICT else limit + 1 for limit in limits]
+    top = max(bounds, default=2)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = max(1, min(cpus, top // _SHARE_FLOOR))
+    unit = min(_SHARE_FLOOR, DEFAULT_SEGMENT_SIZE)
+    cuts = [top * i // count // unit * unit for i in range(1, count)]
+    ranges = list(pairwise(sorted({2, *bounds, *cuts})))
+    shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([2, *cuts, top])]
+    total, prev = GapAccumulator(), None
+    for (_, hi), (acc, first, last) in zip(ranges, _fold_shares(shares)):
+        if prev is not None and first is not None:  # the one gap across the cut
+            seam = GapAccumulator.from_gap_arrays(total.n + 1, np.diff([prev, first]), np.array([prev]))
+            total = merge(total, seam)
+        if acc.n:  # its indices shift by the gaps before it
+            records = [replace(r, index=r.index + total.n) for r in acc.records]
+            total = merge(total, GapAccumulator(total.n + 1, total.n + acc.n, acc.counts, records))
+        prev = prev if last is None else last
+        for _ in range(bounds.count(hi)):
+            if include_first or total.n < 2:  # else drop d_1 = 1, the only odd gap: records[0]
+                yield total if include_first else GapAccumulator()
+            else:
+                counts = Counter({d: c for d, c in total.counts.items() if d != 1})
+                yield GapAccumulator(2, total.last_index, counts, total.records[1:])
 
 
 def gap_statistics(

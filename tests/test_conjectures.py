@@ -180,6 +180,21 @@ def test_compare_max_gaps_columns_and_flags():
     assert row30.model_values["granville_pn"] == pytest.approx(25.0952, abs=1e-4)
 
 
+def test_fixture_rows_are_built_once_and_read_only():
+    known = known_max_gap_records()
+    rows = compare_max_gaps(known)
+    assert all(a is b for a, b in zip(compare_max_gaps(known), rows, strict=True))
+    with pytest.raises(TypeError):
+        rows[0].model_values["wolf"] = 0.0
+    summary = moments(gap_statistics(1000), [1])
+    with pytest.raises(TypeError):
+        compare_moments(summary, [1])[0].model_values["exp_moment"] = 0.0
+    # a record outside the table gets its own row
+    (row,) = compare_max_gaps([MaxGapRecord(index=5, gap=4, lower_prime=11)])
+    assert row.model_values["cramer_shanks_pn"] == math.log(11) ** 2
+    assert row.ratios["cramer_shanks_n"] == 4 / math.log(5) ** 2
+
+
 def test_shipped_record_table_shape():
     records = known_max_gap_records()
     assert len(records) == 80

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import threading
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +86,129 @@ def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, fold_se
 def test_sweep_rejects_descending_limits():
     with pytest.raises(ValueError, match="ascend"):
         list(gap_statistics_at([1000, 100]))
+
+
+# split sweeps: shares folded in forked children and stitched in order
+
+# With 2^12-number shares and three CPUs the sweep to 20000 is cut at 4096
+# and 12288: a limit inside the first share, one on the cut, one past it,
+# a repeat, and the prime 12289 just past the second cut.
+SPLIT_LIMITS = [1000, 4096, 4097, 4097, 12289, 20000]
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def small_shares(monkeypatch):
+    monkeypatch.setattr(gapstats, "_SHARE_FLOOR", 1 << 12)
+    use_cpus(monkeypatch, 3)
+
+
+def folds_in_this_process(monkeypatch) -> list[tuple[int, int]]:
+    """The ranges folded here; a forked child records its own in its copy."""
+    folded, fold = [], gapstats._fold_range
+
+    def spy(lo, hi):
+        folded.append((lo, hi))
+        return fold(lo, hi)
+
+    monkeypatch.setattr(gapstats, "_fold_range", spy)
+    return folded
+
+
+def oracle_accumulator(limit: int, rule: BoundaryRule, include_first: bool) -> GapAccumulator:
+    triples = oracles.naive_gaps(limit, rule is BoundaryRule.INCLUSIVE, include_first)
+    if not triples:
+        return GapAccumulator()
+    records = []
+    for index, lower, gap in triples:
+        if gap > (records[-1].gap if records else 0):
+            records.append(MaxGapRecord(index, gap, lower))
+    counts = Counter(gap for _, _, gap in triples)
+    return GapAccumulator(triples[0][0], triples[-1][0], counts, records)
+
+
+@pytest.mark.parametrize("rule", list(BoundaryRule))
+@pytest.mark.parametrize("include_first", [True, False])
+def test_split_sweep_equals_the_in_process_sweep_and_the_oracle(
+    rule, include_first, small_shares, monkeypatch
+):
+    folded_here = folds_in_this_process(monkeypatch)
+    split = list(gap_statistics_at(SPLIT_LIMITS, rule, include_first))
+    assert max(hi for _, hi in folded_here) == 4096  # the other shares folded in children
+    use_cpus(monkeypatch, 1)
+    assert list(gap_statistics_at(SPLIT_LIMITS, rule, include_first)) == split
+    for limit, acc in zip(SPLIT_LIMITS, split, strict=True):
+        assert acc == oracle_accumulator(limit, rule, include_first)
+
+
+def test_split_sweep_of_two_full_shares(monkeypatch):
+    folded_here = folds_in_this_process(monkeypatch)
+    use_cpus(monkeypatch, 2)
+    split = gap_statistics(2**25 + 1)
+    assert folded_here == [(2, 2**24)]
+    use_cpus(monkeypatch, 1)
+    assert gap_statistics(2**25 + 1) == split
+
+
+def test_split_sweep_leaves_no_child(small_shares):
+    list(gap_statistics_at(SPLIT_LIMITS))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_share_reaches_the_caller_and_leaves_no_child(where, small_shares, monkeypatch):
+    parent, fold = os.getpid(), gapstats._fold_range
+
+    def fold_or_fail(lo, hi):
+        here = "parent" if os.getpid() == parent else "child"
+        if here == where:
+            raise ArithmeticError(f"range from {lo} failed in the {here}")
+        if here == "child":
+            time.sleep(60)  # a failed parent stops its children, not waits for them
+        return fold(lo, hi)
+
+    monkeypatch.setattr(gapstats, "_fold_range", fold_or_fail)
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError, match=f"failed in the {where}"):
+        list(gap_statistics_at(SPLIT_LIMITS))
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30
+
+
+def test_a_daemonic_worker_folds_its_sweep_in_process(small_shares):
+    # multiprocessing refuses children to a daemon, such as a pool worker
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply_async(gap_statistics, (20000,)).get(timeout=60)
+    assert in_worker == gap_statistics(20000)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_folds_in_process_while_a_second_thread_is_alive(small_shares, monkeypatch):
+    # a fork would copy the other thread's locks in whatever state they are
+    widths, walk = [], gapstats.iter_prime_segments
+
+    def counting_walk(bound, lo=2):
+        for seg in walk(bound, lo=lo):
+            widths.append(seg.hi - seg.lo)
+            yield seg
+
+    monkeypatch.setattr(gapstats, "iter_prime_segments", counting_walk)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        threaded = gap_statistics(20000)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert sum(widths) == 20000 - 2  # every segment was sieved here
+    widths.clear()
+    assert gap_statistics(20000) == threaded
+    assert sum(widths) < 20000 - 2  # alone, this process sieves its own share only
 
 
 def test_histogram_totals_on_random_limits(oracle_primes_1e6):
