@@ -38,6 +38,7 @@ __all__ = [
     "interval_gap_bracket",
 ]
 
+_RECORD_BLOCK = 1 << 12  # gaps per block of the record scan in from_gap_arrays
 # Fewest numbers in a share: a fork and its copy-on-write faults cost ~30 ms, repaid from 2^25 on.
 _SHARE_FLOOR = 1 << 24
 
@@ -109,21 +110,27 @@ class GapAccumulator:
     def from_gap_arrays(
         cls, first_index: int, gaps: np.ndarray, lower_primes: np.ndarray
     ) -> GapAccumulator:
-        """Vectorised bulk constructor for gaps at consecutive indices."""
+        """Vectorised bulk constructor for gaps at consecutive indices.
+
+        Records come from a block scan, O(n) on any input: a block after the first
+        whose top beats no earlier block's holds no record, so the running max skips it.
+        """
         if gaps.size == 0:
             return cls()
         if gaps.size != lower_primes.size:
             raise ValueError("gaps and lower_primes length mismatch")
         bins = np.bincount(gaps)
-        counts = Counter(
-            {int(d): int(c) for d, c in enumerate(bins) if c}
-        )
-        running = np.maximum.accumulate(gaps)
-        prev_best = np.concatenate(([0], running[:-1]))
-        where = np.flatnonzero(gaps > prev_best)
+        seen = np.flatnonzero(bins)
+        counts = Counter(dict(zip(seen.tolist(), bins[seen].tolist())))
+        firsts = np.arange(0, gaps.size, _RECORD_BLOCK)
+        tops = np.maximum.accumulate(np.maximum.reduceat(gaps, firsts))
+        firsts = firsts[np.concatenate(([True], tops[1:] > tops[:-1]))]
+        picked = np.concatenate([gaps[i : i + _RECORD_BLOCK] for i in firsts.tolist()])
+        hits = np.flatnonzero(picked > np.concatenate(([0], np.maximum.accumulate(picked)[:-1])))
+        where = firsts[hits // _RECORD_BLOCK] + hits % _RECORD_BLOCK
         records = [
-            MaxGapRecord(first_index + int(i), int(gaps[i]), int(lower_primes[i]))
-            for i in where
+            MaxGapRecord(first_index + i, g, p)
+            for i, g, p in zip(where.tolist(), gaps[where].tolist(), lower_primes[where].tolist())
         ]
         return cls(
             first_index=first_index,

@@ -8,9 +8,12 @@ every limit), gives every odd base prime its first index.  Primes up to
 _LOOP_PRIME_LIMIT clear a strided slice each; larger ones below the
 window's odd count share one stride loop that drops each prime once it
 leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014); the
-rest hit the window at most once and are marked in one store.  The start
-is each prime's first odd multiple in the window, so a base prime inside
-the window strikes itself; one store after all marking restores those.
+rest hit the window at most once and are marked in one store (picked by
+compress, a third of a boolean index's cost).  The start is each prime's
+first odd multiple in the window, so a base prime inside the window
+strikes itself; one store after all marking restores those.  Past e^20,
+where under a tenth of the odd slots are prime, np.flatnonzero takes a
+slow loop: a tail of True slots lifts the mask past 0.1 and is cut off.
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1) from simple_sieve, which starts from a read-only table
 of the primes <= isqrt(isqrt(2**63 - 1)) built once per process by the
@@ -50,6 +53,7 @@ MAX_SEGMENT_SIZE = 1 << 26
 _LOOP_PRIME_LIMIT = 8192
 # simple_sieve's table: every base sieve up to isqrt(MAX_LIMIT) takes its base from it.
 _TABLE_LIMIT = math.isqrt(math.isqrt(MAX_LIMIT))
+_SPARSE_FROM = 485_165_196  # e^20: past it the odd-prime density 2/ln x is below 0.1
 
 
 class BoundaryRule(Enum):
@@ -150,6 +154,7 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     """Sieve the window [lo, hi) using precomputed base primes.
 
     base_primes must contain every prime <= isqrt(hi - 1), ascending.
+    The primes keep nothing else alive: no mask and no padded index array.
     """
     if lo < 2:
         raise ValueError(f"segment start {lo} below 2")
@@ -165,7 +170,9 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
 
     first_odd = lo | 1
     count = (hi - first_odd + 1) // 2
-    mask = np.ones(count, dtype=bool)
+    # room for a tail of True slots: count // 9 + 1 of them lift even an empty mask past 0.1
+    buf = np.ones(count + (count // 9 + 1 if hi > _SPARSE_FROM else 0), dtype=bool)
+    mask = buf[:count]
     if first_odd == 1:
         mask[0] = False
     odd = base[np.searchsorted(base, 3) : np.searchsorted(base, need, side="right")]
@@ -183,10 +190,16 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
             mask[start] = False
             start += large
         once = starts[cut:]
-        mask[once[once < count]] = False
+        mask[once.compress(once < count)] = False
         # base primes inside the window struck themselves
         mask[(odd[np.searchsorted(odd, first_odd) :] - first_odd) >> 1] = True
-    odds = np.flatnonzero(mask)
+    pad = buf.size - count
+    if pad:  # the fewest True slots that keep flatnonzero on its branch-free loop
+        pad = max(0, (count - 10 * int(np.count_nonzero(mask))) // 9 + 1)
+    odds = np.flatnonzero(buf[: count + pad])
+    if pad:  # a copy keeps no pad alive; freeing the mask first keeps malloc from trimming the heap
+        del buf, mask
+        odds = odds[:-pad].copy()
     odds *= 2
     odds += first_odd
     if lo <= 2 < hi:

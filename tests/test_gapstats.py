@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegaps import gapstats, sieve
 from primegaps import (
@@ -275,6 +277,55 @@ def test_merge_rejects_non_adjacent_ranges(oracle_gaps_100k):
 def test_records_are_left_to_right_maxima(acc_100k):
     got = [(r.index, r.gap, r.lower_prime) for r in max_gap_records(acc_100k)]
     assert got == oracles.naive_records(10**5 - 1)
+
+
+def running_max_reference(first_index: int, gaps: list[int], lowers: list[int]) -> GapAccumulator:
+    """One gap at a time: a record is a gap above every gap before it."""
+    best, records = 0, []
+    for i, (gap, lower) in enumerate(zip(gaps, lowers)):
+        if gap > best:
+            best = gap
+            records.append(MaxGapRecord(first_index + i, gap, lower))
+    return GapAccumulator(first_index, first_index + len(gaps) - 1, Counter(gaps), records)
+
+
+def assert_fold_matches_reference(first_index: int, gaps: list[int]) -> None:
+    lowers = [10**12 + 7 * i for i in range(len(gaps))]
+    got = GapAccumulator.from_gap_arrays(first_index, np.array(gaps, dtype=np.int64), np.array(lowers))
+    assert got == running_max_reference(first_index, gaps, lowers)
+
+
+_B = gapstats._RECORD_BLOCK
+
+
+# Records are found block by block, so the cases sit on and around block edges.
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        [6],
+        [2] * _B,
+        [2] * _B + [4],
+        list(range(1, 3 * _B + 2)),
+        [8] * (3 * _B),
+        [2] * (_B - 1) + [10] + [4] * _B,
+        [2] * _B + [10] + [4] * (_B - 1) + [12],
+    ],
+    ids=["one-gap", "one-block", "one-block-plus-one", "ascending", "all-equal",
+         "record-on-a-block's-last-slot", "record-on-a-block's-first-slot"],
+)
+def test_records_across_block_edges_match_the_running_max(gaps):
+    assert_fold_matches_reference(3, gaps)
+
+
+# Gaps drawn from a seed: few values (many ties) or many, up to about the largest
+# gap below 2^64, with a rising trend that makes every block a candidate, or none.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5 * _B), st.integers(1, 2000), st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.integers(1, 2**40))
+def test_records_match_the_running_max_on_drawn_gaps(size, top, trend, seed, first_index):
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(0, top, size, endpoint=True) + trend * np.arange(size)
+    assert_fold_matches_reference(first_index, gaps.tolist())
 
 
 def test_records_require_the_full_stream():

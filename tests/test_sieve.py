@@ -275,12 +275,45 @@ def test_window_cuts_concatenate_to_the_same_primes(cuts):
 
 # Full 2^20 windows are where base primes above sieve._LOOP_PRIME_LIMIT hit
 # many times each; the 4096-wide windows above never see one hit twice.
-@pytest.mark.parametrize("height", [2**30, 2**36], ids=["2^30", "2^36"])
+# Past e^20 the odd-prime density is below 0.1 and the kernel pads its mask
+# with True slots: 4.8e8 lies below that switch, the window from e^20 - 2^20
+# straddles it, and the rest lie past it.
+_E20 = math.ceil(math.exp(20))
+_SWITCH_HEIGHTS = {"4.8e8": 480_000_000, "e^20-2^20": _E20 - 2**20, "e^20+2^20": _E20 + 2**20,
+                   "2^29": 2**29, "2^30": 2**30, "2^36": 2**36, "2^44": 2**44}
+
+
+@pytest.mark.parametrize("height", list(_SWITCH_HEIGHTS.values()), ids=list(_SWITCH_HEIGHTS))
 def test_full_window_matches_the_per_prime_loop(height, base_2p24):
     lo = height + 12345
     hi = lo + DEFAULT_SEGMENT_SIZE
     got = sieve_segment(lo, hi, base_2p24).primes.tolist()
     assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+@pytest.mark.parametrize("height", list(_SWITCH_HEIGHTS.values()), ids=list(_SWITCH_HEIGHTS))
+def test_partial_window_matches_the_per_prime_loop(height, base_2p24):
+    lo = height + 54321
+    hi = lo + 2**19 + 4321
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+# One slot past e^20: a prime, an odd composite, and an even number (no odd slot)
+@pytest.mark.parametrize(
+    "lo", [oracles.next_prime(_E20), oracles.next_prime(_E20) + 2, _E20],
+    ids=["prime", "odd-composite", "even"],
+)
+def test_one_slot_window_past_the_density_switch(lo, base_2p24):
+    got = sieve_segment(lo, lo + 1, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, lo + 1, base_2p24)
+
+
+@pytest.mark.parametrize("height", [2**30, 2**44], ids=["2^30", "2^44"])
+def test_a_window_at_height_keeps_no_pad_alive(height):
+    # a pass that holds many windows' primes must not hold their padded index arrays too
+    primes = sieve_segment(height, height + DEFAULT_SEGMENT_SIZE, simple_sieve(2**22)).primes
+    assert primes.base is None or primes.base.nbytes <= primes.nbytes
 
 
 _P = 8209  # the first prime above sieve._LOOP_PRIME_LIMIT
