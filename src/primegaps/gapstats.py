@@ -1,9 +1,10 @@
 """Gap statistics: histograms, exact power sums, moments, record gaps.
 
-Accumulators form a monoid under merge, so a sweep is split into
-contiguous ranges, folded independently (long sweeps in forked
-children, one share per usable CPU) and stitched in order; where the
-cuts and the sieve's segments fall never changes a statistic.
+Accumulators form a monoid under merge, so a sweep is split into contiguous
+ranges, folded independently (long sweeps in forked children, one share per
+usable CPU) and stitched in order; where the cuts and the sieve's segments
+fall never changes a statistic.  One sweep answers limits in any order, a
+list in the caller's order, its range cap checked before any fold.
 Power sums are plain Python integers and therefore exact at any k;
 mean, variance and the Taylor ratio are reduced as exact rationals
 before the final float conversion.
@@ -14,14 +15,14 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import pairwise
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, iter_prime_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit, iter_prime_segments
 
 __all__ = [
     "TauHistogram",
@@ -256,17 +257,21 @@ def _fold_shares(shares: list[list[tuple[int, int]]]) -> list[tuple]:
                     with sender:
                         child = context.Process(target=_fold_child, args=(share, sender))
                         child.start()
-                    children.append((child, receiver))
+                    children.append((child, receiver, share[0][0], share[-1][1]))
                 shares = shares[:1]
         folds = [_fold_range(lo, hi) for share in shares for lo, hi in share]
-        for _, receiver in children:
-            result = receiver.recv()
+        for child, receiver, lo, hi in children:
+            try:
+                result = receiver.recv()
+            except EOFError:  # killed, or stopped by an error it could not send
+                child.join()
+                raise ChildProcessError(f"share [{lo}, {hi}) ended with exit code {child.exitcode}") from None
             if isinstance(result, Exception):
                 raise result
             folds += result
         return folds
     finally:
-        for child, receiver in children:
+        for child, receiver, *_ in children:
             child.kill()  # a no-op for a child that has sent its share
             child.join()
             receiver.close()
@@ -276,30 +281,31 @@ def gap_statistics_at(
     limits: Iterable[int],
     rule: BoundaryRule = BoundaryRule.STRICT,
     include_first: bool = False,
-) -> Iterator[GapAccumulator]:
-    """Yield the accumulator of every gap below each ascending limit.
+) -> list[GapAccumulator]:
+    """The accumulator of every gap below each limit, a list in the caller's order.
 
     Gap d_n joins p_n and p_{n+1}; under STRICT the upper prime satisfies
-    p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With
-    include_first=False the range starts at index 2, skipping d_1 = 1.
-    One sweep over [2, top bound) is cut at every bound and into shares
-    ending on window multiples, at most one per usable CPU (as taskset
-    sets them) and per _SHARE_FLOOR numbers; the shares after the first
-    fold in forked children, joined before the first yield.  The ranges
-    are stitched in order: indices shifted, and the one gap across each cut.
+    p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With include_first=False
+    the range starts at index 2, skipping d_1 = 1.  Limits are >= 3, in any order,
+    repeats allowed.  The top bound is checked against the sieve's range, then one
+    sweep over [2, top bound) is cut at every bound and into shares ending on window
+    multiples, at most one per usable CPU (as taskset sets them) and per _SHARE_FLOOR
+    numbers; the shares after the first fold in forked children, stitched in order:
+    indices shifted, and the one gap across each cut.
     """
     limits = list(limits)
-    if limits != sorted(limits) or (limits and limits[0] < 3):
-        raise ValueError(f"limits must ascend from 3 (no gap lies below 3), got {limits}")
+    if any(limit < 3 for limit in limits):
+        raise ValueError(f"limits must be at least 3 (no gap lies below 3), got {limits}")
     bounds = [limit if rule is BoundaryRule.STRICT else limit + 1 for limit in limits]
     top = max(bounds, default=2)
+    _check_limit(top - 1)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = max(1, min(cpus, top // _SHARE_FLOOR))
     unit = min(_SHARE_FLOOR, DEFAULT_SEGMENT_SIZE)
     cuts = [top * i // count // unit * unit for i in range(1, count)]
     ranges = list(pairwise(sorted({2, *bounds, *cuts})))
     shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([2, *cuts, top])]
-    total, prev = GapAccumulator(), None
+    total, prev, at = GapAccumulator(), None, {}
     for (_, hi), (acc, first, last) in zip(ranges, _fold_shares(shares)):
         if prev is not None and first is not None:  # the one gap across the cut
             seam = GapAccumulator.from_gap_arrays(total.n + 1, np.diff([prev, first]), np.array([prev]))
@@ -308,12 +314,12 @@ def gap_statistics_at(
             records = [replace(r, index=r.index + total.n) for r in acc.records]
             total = merge(total, GapAccumulator(total.n + 1, total.n + acc.n, acc.counts, records))
         prev = prev if last is None else last
-        for _ in range(bounds.count(hi)):
-            if include_first or total.n < 2:  # else drop d_1 = 1, the only odd gap: records[0]
-                yield total if include_first else GapAccumulator()
-            else:
-                counts = Counter({d: c for d, c in total.counts.items() if d != 1})
-                yield GapAccumulator(2, total.last_index, counts, total.records[1:])
+        if include_first or total.n < 2:  # else drop d_1 = 1, the only odd gap: records[0]
+            at[hi] = total if include_first else GapAccumulator()
+        else:
+            counts = Counter({d: c for d, c in total.counts.items() if d != 1})
+            at[hi] = GapAccumulator(2, total.last_index, counts, total.records[1:])
+    return [at[bound] for bound in bounds]
 
 
 def gap_statistics(
@@ -322,7 +328,7 @@ def gap_statistics(
     include_first: bool = False,
 ) -> GapAccumulator:
     """Sieve up to the limit and fold every gap into one accumulator."""
-    return next(gap_statistics_at([limit], rule, include_first))
+    return gap_statistics_at([limit], rule, include_first)[0]
 
 
 def tau_histogram(limit: int) -> TauHistogram:
@@ -354,8 +360,7 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     """
     if not 2 < a < b:
         raise ValueError(f"need 2 < a < b, got ({a}, {b})")
-    if b > MAX_LIMIT:
-        raise ValueError(f"b = {b} exceeds supported range 2**63 - 1")
+    _check_limit(b)
     first = last = after = None
     count = 0
     bound = min(b + 1 + _NEXT_PRIME_WINDOW, MAX_LIMIT + 1)

@@ -21,7 +21,7 @@ from .gapstats import (
     max_gap_records,
     moments,
 )
-from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule
+from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule, _check_limit
 
 __all__ = [
     "RunConfig",
@@ -62,8 +62,7 @@ def parse_limit(text: str) -> int:
         value = 2**t
     if value < 3:
         raise ValueError(f"limit {value} too small; need at least 3")
-    if value > MAX_LIMIT:
-        raise ValueError(f"limit {value} exceeds supported range 2**63 - 1")
+    _check_limit(value)
     return value
 
 
@@ -146,30 +145,27 @@ class Table1Row:
     max_gap: int
 
 
-_TABLE1_KS = (1, 2, 3, 4)
+_TABLE1_KS = (1, 2, 3, 4)  # ascending, the order of MomentSummary.moments
 
 
 def table1_rows(limits: list[int]) -> list[Table1Row]:
     """Gap-count, first four moments and maximal gap per power-of-two limit.
 
-    One sweep up to the largest limit serves every row; rows come back
-    in the order of limits, repeats included.
+    One sweep up to the largest limit serves every row, in the caller's order.
     """
     for limit in limits:
         if limit != 1 << (limit.bit_length() - 1):
             raise ValueError(f"limit {limit} is not a power of two")
-    ascending = sorted(set(limits))
-    sweep = gap_statistics_at(ascending, BoundaryRule.STRICT, include_first=False)
-    rows = {}
-    for limit, acc in zip(ascending, sweep):
-        summary = moments(acc, _TABLE1_KS)
-        rows[limit] = Table1Row(
+    sweep = gap_statistics_at(limits, BoundaryRule.STRICT, include_first=False)
+    return [
+        Table1Row(
             t=limit.bit_length() - 1,
-            n=summary.n,
-            mus=tuple(summary.moments[k] for k in _TABLE1_KS),
+            n=acc.n,
+            mus=tuple(moments(acc, _TABLE1_KS).moments.values()),
             max_gap=acc.overall_max,
         )
-    return [rows[limit] for limit in limits]
+        for limit, acc in zip(limits, sweep)
+    ]
 
 
 def write_table1(out: TextIO, rows: list[Table1Row], config: RunConfig) -> None:
@@ -229,7 +225,7 @@ def collect_records(limit: int, use_fixture: bool = False) -> list[MaxGapRecord]
     records = max_gap_records(acc)
     if use_fixture:  # the fixture's gaps ascend, so this is merge's maxima filter
         known = conjectures.known_max_gap_records()
-        best = records[-1].gap if records else 0
+        best = records[-1].gap
         records += [r for r in known if r.lower_prime + r.gap >= limit and r.gap > best]
     return records
 

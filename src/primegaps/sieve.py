@@ -239,8 +239,6 @@ def nth_prime(n: int) -> int:
     m = max(n, 6)
     ln = math.log(m)
     bound = int(m * (ln + math.log(ln))) + 1
-    if bound > MAX_LIMIT:
-        raise ValueError(f"prime index {n} out of supported range")
     seen = 0
     for seg in iter_prime_segments(bound + 1):
         if seen + seg.primes.size >= n:

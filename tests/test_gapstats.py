@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
 import threading
 import time
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import gapstats, sieve
+from primegaps import cli, gapstats, sieve
 from primegaps import (
     BoundaryRule,
     GapAccumulator,
@@ -85,11 +86,6 @@ def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, fold_se
         assert power_sum(acc, 2) == sum(g * g for _, _, g in gaps)
 
 
-def test_sweep_rejects_descending_limits():
-    with pytest.raises(ValueError, match="ascend"):
-        list(gap_statistics_at([1000, 100]))
-
-
 # split sweeps: shares folded in forked children and stitched in order
 
 # With 2^12-number shares and three CPUs the sweep to 20000 is cut at 4096
@@ -130,6 +126,33 @@ def oracle_accumulator(limit: int, rule: BoundaryRule, include_first: bool) -> G
             records.append(MaxGapRecord(index, gap, lower))
     counts = Counter(gap for _, _, gap in triples)
     return GapAccumulator(triples[0][0], triples[-1][0], counts, records)
+
+
+@pytest.mark.parametrize("rule", list(BoundaryRule))
+@pytest.mark.parametrize("include_first", [True, False])
+def test_sweep_answers_limits_in_the_callers_order(rule, include_first, small_shares):
+    shuffled = [12289, 4097, 20000, 1000, 4097, 4096]  # SPLIT_LIMITS, repeat kept
+    assert sorted(shuffled) == SPLIT_LIMITS
+    sweep = gap_statistics_at(iter(shuffled), rule, include_first)
+    assert isinstance(sweep, list)
+    assert sweep == [gap_statistics(limit, rule, include_first) for limit in shuffled]
+    assert gap_statistics_at([], rule, include_first) == []
+    with pytest.raises(ValueError, match="at least 3"):
+        gap_statistics_at([1000, 2], rule, include_first)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_range_cap_is_checked_before_any_fold(cpus, monkeypatch):
+    def no_fold(lo, hi):
+        raise AssertionError(f"[{lo}, {hi}) folded before the range check")
+
+    monkeypatch.setattr(gapstats, "_fold_range", no_fold)
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="exceeds supported range"):
+        gap_statistics(2**63 + 5)
+    with pytest.raises(ValueError, match="exceeds supported range"):
+        gap_statistics_at([10**6, 2**63 + 5])
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))
@@ -178,6 +201,38 @@ def test_a_failed_share_reaches_the_caller_and_leaves_no_child(where, small_shar
         list(gap_statistics_at(SPLIT_LIMITS))
     assert multiprocessing.active_children() == []
     assert time.monotonic() - start < 30
+
+
+def killed_in_the_child(monkeypatch) -> None:
+    """A child's fold SIGKILLs its own process, so the child sends nothing."""
+    parent, fold = os.getpid(), gapstats._fold_range
+
+    def fold_or_die(lo, hi):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fold(lo, hi)
+
+    monkeypatch.setattr(gapstats, "_fold_range", fold_or_die)
+
+
+def test_a_child_killed_before_its_result_names_its_share(small_shares, monkeypatch):
+    killed_in_the_child(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError, match=r"share \[4096, 12288\) ended with exit code -9"):
+        gap_statistics_at(SPLIT_LIMITS)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_child_is_a_cli_input_error(small_shares, monkeypatch, capsys):
+    # exit 1 is kept for a verification mismatch
+    killed_in_the_child(monkeypatch)
+    assert cli.main(["moments", "--limit", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: share [")
+    assert len(captured.err.splitlines()) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_a_daemonic_worker_folds_its_sweep_in_process(small_shares):

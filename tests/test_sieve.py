@@ -156,6 +156,8 @@ def test_limit_cap_enforced():
         simple_sieve(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match="exceeds supported range"):
         prime_count(2**63)
+    with pytest.raises(ValueError, match="exceeds supported range"):
+        nth_prime(10**18)  # p_n lies past 2^63, a bound the walker refuses before sieving
 
 
 def test_segment_size_bounds_enforced():
