@@ -2,9 +2,11 @@
 
 Accumulators form a monoid under merge, so a sweep is split into contiguous
 ranges, folded independently (long sweeps in forked children, one share per
-usable CPU) and stitched in order; where the cuts and the sieve's segments
-fall never changes a statistic.  One sweep answers limits in any order, a
-list in the caller's order, its range cap checked before any fold.
+usable CPU) and stitched in order.  A range owns the gaps whose upper prime
+lies in it, as in the windows of Oliveira e Silva, Herzog and Pardi (2014),
+so where the cuts and the sieve's segments fall never changes a statistic.
+One sweep answers limits in any order, a list in the caller's order, its
+range cap checked before any fold.
 Power sums are plain Python integers and therefore exact at any k;
 mean, variance and the Taylor ratio are reduced as exact rationals
 before the final float conversion.
@@ -40,6 +42,10 @@ __all__ = [
 ]
 
 _RECORD_BLOCK = 1 << 12  # gaps per block of the record scan in from_gap_arrays
+# Wider than every prime gap below 2**64 (none exceeds 1550, the shipped record
+# table): a sweep range looks back this far for its first gap's lower prime, and
+# interval_gap_bracket looks this far past b for nextprime(b).
+_GAP_WINDOW = 1 << 12
 # Fewest numbers in a share: a fork and its copy-on-write faults cost ~30 ms, repaid from 2^25 on.
 _SHARE_FLOOR = 1 << 24
 
@@ -116,10 +122,10 @@ class GapAccumulator:
         Records come from a block scan, O(n) on any input: a block after the first
         whose top beats no earlier block's holds no record, so the running max skips it.
         """
-        if gaps.size == 0:
-            return cls()
         if gaps.size != lower_primes.size:
             raise ValueError("gaps and lower_primes length mismatch")
+        if gaps.size == 0:
+            return cls()
         bins = np.bincount(gaps)
         seen = np.flatnonzero(bins)
         counts = Counter(dict(zip(seen.tolist(), bins[seen].tolist())))
@@ -222,16 +228,17 @@ def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
     return list(acc.records)
 
 
-def _fold_range(lo: int, hi: int) -> tuple[GapAccumulator, int | None, int | None]:
-    """The gaps between the primes of [lo, hi), indexed from 1, and the
-    range's first and last prime (None when it holds none)."""
-    total, first, prev = GapAccumulator(), None, None
-    for seg in iter_prime_segments(hi, lo=lo):
+def _fold_range(lo: int, hi: int) -> GapAccumulator:
+    """The gaps whose upper prime lies in [lo, hi), indexed from 1.  The walk
+    starts _GAP_WINDOW before lo, so the last prime below lo is its first gap's lower end."""
+    total, prev = GapAccumulator(), None
+    for seg in iter_prime_segments(hi, lo=max(2, lo - _GAP_WINDOW)):
         if seg.primes.size:  # chained to the last prime before the segment
             chain = seg.primes if prev is None else np.concatenate(([prev], seg.primes))
-            first, prev = int(chain[0]) if first is None else first, int(chain[-1])
+            prev = int(chain[-1])
+            chain = chain[max(1, int(np.searchsorted(chain, lo))) - 1 :]  # gaps ending at lo or later
             total = merge(total, GapAccumulator.from_gap_arrays(total.n + 1, np.diff(chain), chain[:-1]))
-    return total, first, prev
+    return total
 
 
 def _fold_child(share: list[tuple[int, int]], conn) -> None:
@@ -242,7 +249,7 @@ def _fold_child(share: list[tuple[int, int]], conn) -> None:
         conn.send(exc)
 
 
-def _fold_shares(shares: list[list[tuple[int, int]]]) -> list[tuple]:
+def _fold_shares(shares: list[list[tuple[int, int]]]) -> list[GapAccumulator]:
     """Every share's folds in order, all but the first share's from forked children,
     unless a second thread is alive (a fork copies its locks as they are) or this
     process is a daemon."""
@@ -285,40 +292,35 @@ def gap_statistics_at(
     """The accumulator of every gap below each limit, a list in the caller's order.
 
     Gap d_n joins p_n and p_{n+1}; under STRICT the upper prime satisfies
-    p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  With include_first=False
-    the range starts at index 2, skipping d_1 = 1.  Limits are >= 3, in any order,
-    repeats allowed.  The top bound is checked against the sieve's range, then one
-    sweep over [2, top bound) is cut at every bound and into shares ending on window
-    multiples, at most one per usable CPU (as taskset sets them) and per _SHARE_FLOOR
-    numbers; the shares after the first fold in forked children, stitched in order:
-    indices shifted, and the one gap across each cut.
+    p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  The sweep starts at 2, or
+    at 4 with include_first=False: no gap ending at 4 or later is d_1 = 1.  Limits
+    lie in [3, 2**63 - 1], in any order, repeats allowed, and are checked before any
+    fold.  One sweep from the start to the top bound is cut at every bound and into
+    shares ending on window multiples, at most one per usable CPU (as taskset sets
+    them) and per _SHARE_FLOOR numbers; the shares after the first fold in forked
+    children.  Each range holds the gaps whose upper prime lies in it, so the stitch
+    only shifts its indices.
     """
     limits = list(limits)
     if any(limit < 3 for limit in limits):
         raise ValueError(f"limits must be at least 3 (no gap lies below 3), got {limits}")
-    bounds = [limit if rule is BoundaryRule.STRICT else limit + 1 for limit in limits]
-    top = max(bounds, default=2)
-    _check_limit(top - 1)
+    _check_limit(max(limits, default=3))
+    start = 2 if include_first else 4
+    bounds = [max(start, limit if rule is BoundaryRule.STRICT else limit + 1) for limit in limits]
+    top = max(bounds, default=start)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = max(1, min(cpus, top // _SHARE_FLOOR))
     unit = min(_SHARE_FLOOR, DEFAULT_SEGMENT_SIZE)
     cuts = [top * i // count // unit * unit for i in range(1, count)]
-    ranges = list(pairwise(sorted({2, *bounds, *cuts})))
-    shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([2, *cuts, top])]
-    total, prev, at = GapAccumulator(), None, {}
-    for (_, hi), (acc, first, last) in zip(ranges, _fold_shares(shares)):
-        if prev is not None and first is not None:  # the one gap across the cut
-            seam = GapAccumulator.from_gap_arrays(total.n + 1, np.diff([prev, first]), np.array([prev]))
-            total = merge(total, seam)
-        if acc.n:  # its indices shift by the gaps before it
-            records = [replace(r, index=r.index + total.n) for r in acc.records]
-            total = merge(total, GapAccumulator(total.n + 1, total.n + acc.n, acc.counts, records))
-        prev = prev if last is None else last
-        if include_first or total.n < 2:  # else drop d_1 = 1, the only odd gap: records[0]
-            at[hi] = total if include_first else GapAccumulator()
-        else:
-            counts = Counter({d: c for d, c in total.counts.items() if d != 1})
-            at[hi] = GapAccumulator(2, total.last_index, counts, total.records[1:])
+    ranges = list(pairwise(sorted({start, *bounds, *cuts})))
+    shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([start, *cuts, top])]
+    total, at = GapAccumulator(), {start: GapAccumulator()}
+    for (_, hi), acc in zip(ranges, _fold_shares(shares)):
+        if acc.n:  # its indices shift by the gaps before it, and by d_1 when that is left out
+            shift = total.n + (not include_first)
+            records = [replace(r, index=r.index + shift) for r in acc.records]
+            total = merge(total, GapAccumulator(shift + 1, shift + acc.n, acc.counts, records))
+        at[hi] = total
     return [at[bound] for bound in bounds]
 
 
@@ -339,12 +341,6 @@ def tau_histogram(limit: int) -> TauHistogram:
     return hist
 
 
-# Numbers past b sieved in the same pass as (a, b].  It holds
-# nextprime(b), since no prime gap below 2**64 exceeds 1550 (the shipped
-# record table); near the top it is cut at 2**63, the end of the range.
-_NEXT_PRIME_WINDOW = 1 << 12
-
-
 def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     """Bracket the interval length L = b - a by sums of prime gaps.
 
@@ -363,7 +359,7 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     _check_limit(b)
     first = last = after = None
     count = 0
-    bound = min(b + 1 + _NEXT_PRIME_WINDOW, MAX_LIMIT + 1)
+    bound = min(b + 1 + _GAP_WINDOW, MAX_LIMIT + 1)  # cut at 2**63, the end of the range
     for seg in iter_prime_segments(bound, lo=a + 1):
         primes = seg.primes
         cut = int(np.searchsorted(primes, b, side="right"))

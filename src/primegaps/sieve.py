@@ -173,8 +173,6 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     # room for a tail of True slots: count // 9 + 1 of them lift even an empty mask past 0.1
     buf = np.ones(count + (count // 9 + 1 if hi > _SPARSE_FROM else 0), dtype=bool)
     mask = buf[:count]
-    if first_odd == 1:
-        mask[0] = False
     odd = base[np.searchsorted(base, 3) : np.searchsorted(base, need, side="right")]
     if odd.size:
         starts = _start_indices(first_odd, odd)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from primegaps import cli, gapstats, sieve
@@ -75,9 +75,10 @@ def test_gap_statistics_matches_naive_counts(rule, include_first):
 @pytest.mark.parametrize("include_first", [True, False])
 def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, fold_segment_size):
     # limits off the 64-number segment grid, a repeat, and primes (131, 4099)
-    # where the two rules differ; the sweep resumes at each limit
+    # where the two rules differ; the sweep resumes at each limit.  3 and 4 end
+    # at or below the start of a sweep without d_1
     fold_segment_size(64)
-    limits = [3, 5, 100, 131, 131, 1000, 4099, 10**4]
+    limits = [3, 4, 5, 100, 131, 131, 1000, 4099, 10**4]
     sweep = gap_statistics_at(limits, rule, include_first)
     for limit, acc in zip(limits, sweep, strict=True):
         assert acc == gap_statistics(limit, rule, include_first)
@@ -141,11 +142,12 @@ def test_sweep_answers_limits_in_the_callers_order(rule, include_first, small_sh
         gap_statistics_at([1000, 2], rule, include_first)
 
 
+def no_fold(lo, hi):
+    raise AssertionError(f"[{lo}, {hi}) folded before the range check")
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_the_range_cap_is_checked_before_any_fold(cpus, monkeypatch):
-    def no_fold(lo, hi):
-        raise AssertionError(f"[{lo}, {hi}) folded before the range check")
-
     monkeypatch.setattr(gapstats, "_fold_range", no_fold)
     use_cpus(monkeypatch, cpus)
     with pytest.raises(ValueError, match="exceeds supported range"):
@@ -153,6 +155,35 @@ def test_the_range_cap_is_checked_before_any_fold(cpus, monkeypatch):
     with pytest.raises(ValueError, match="exceeds supported range"):
         gap_statistics_at([10**6, 2**63 + 5])
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("rule", list(BoundaryRule))
+def test_an_over_cap_limit_is_named_as_the_caller_gave_it(rule, monkeypatch):
+    # a STRICT limit sieves only below itself, yet the limit itself must lie in range
+    monkeypatch.setattr(gapstats, "_fold_range", no_fold)
+    use_cpus(monkeypatch, 1)
+    for limit in (2**63, 2**63 + 5):
+        with pytest.raises(ValueError, match=rf"^limit {limit} exceeds supported range 2\*\*63 - 1$"):
+            gap_statistics_at([10**6, limit], rule)
+    with pytest.raises(AssertionError, match="folded"):  # 2^63 - 1 passes the check
+        gap_statistics(2**63 - 1, rule)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    limits=st.lists(st.integers(3, 20000), max_size=5),
+    rule=st.sampled_from(list(BoundaryRule)),
+    include_first=st.booleans(),
+    cpus=st.sampled_from([1, 3]),
+)
+def test_sweep_equals_the_oracle_on_random_limits(
+    limits, rule, include_first, cpus, small_shares, fold_segment_size, monkeypatch
+):
+    # 64-number segments: each range's look-back spans many of them
+    fold_segment_size(64)
+    use_cpus(monkeypatch, cpus)
+    sweep = gap_statistics_at(limits, rule, include_first)
+    assert sweep == [oracle_accumulator(limit, rule, include_first) for limit in limits]
 
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))
@@ -173,7 +204,7 @@ def test_split_sweep_of_two_full_shares(monkeypatch):
     folded_here = folds_in_this_process(monkeypatch)
     use_cpus(monkeypatch, 2)
     split = gap_statistics(2**25 + 1)
-    assert folded_here == [(2, 2**24)]
+    assert folded_here == [(4, 2**24)]  # d_1 left out: the sweep starts at 4
     use_cpus(monkeypatch, 1)
     assert gap_statistics(2**25 + 1) == split
 
@@ -262,10 +293,13 @@ def test_sweep_folds_in_process_while_a_second_thread_is_alive(small_shares, mon
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert sum(widths) == 20000 - 2  # every segment was sieved here
+    # every range was sieved here, each from _GAP_WINDOW below its start (not below 2)
+    window = gapstats._GAP_WINDOW
+    ranges = [(4, 4096), (4096, 12288), (12288, 20000)]
+    assert sum(widths) == sum(hi - max(2, lo - window) for lo, hi in ranges)
     widths.clear()
     assert gap_statistics(20000) == threaded
-    assert sum(widths) < 20000 - 2  # alone, this process sieves its own share only
+    assert sum(widths) == 4096 - 2  # alone, this process sieves its own share only
 
 
 def test_histogram_totals_on_random_limits(oracle_primes_1e6):
@@ -495,14 +529,15 @@ def test_bracket_agrees_with_miller_rabin_at_height(a, b):
     assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
 
 
-def test_next_prime_window_exceeds_every_known_maximal_gap():
-    # so the one walk past b finds nextprime(b) for every b below 2^64
-    assert gapstats._NEXT_PRIME_WINDOW > max(r.gap for r in known_max_gap_records())
+def test_gap_window_exceeds_every_known_maximal_gap():
+    # so the one walk past b finds nextprime(b), and a sweep range's look-back
+    # finds the prime before its start, for every number below 2^64
+    assert gapstats._GAP_WINDOW > max(r.gap for r in known_max_gap_records())
 
 
 def test_bracket_walks_past_b_once(monkeypatch):
     # 113 -> 127 is longer than a 4-number window: no second window is sieved
-    monkeypatch.setattr(gapstats, "_NEXT_PRIME_WINDOW", 4)
+    monkeypatch.setattr(gapstats, "_GAP_WINDOW", 4)
     with pytest.raises(ValueError, match="no prime follows b = 113 below 118"):
         interval_gap_bracket(100, 113)
 
@@ -547,6 +582,8 @@ def test_bracket_input_validation():
 def test_from_gap_arrays_rejects_length_mismatch():
     with pytest.raises(ValueError):
         GapAccumulator.from_gap_arrays(1, np.array([2, 4]), np.array([3]))
+    with pytest.raises(ValueError):  # also when there are no gaps
+        GapAccumulator.from_gap_arrays(1, np.array([], np.int64), np.array([3]))
 
 
 def test_overall_max_and_n_on_empty():

@@ -118,7 +118,9 @@ def test_table1_sieves_up_to_the_largest_limit_once(monkeypatch):
     monkeypatch.setattr(gapstats, "iter_prime_segments", counting)
     rows = table1_rows([1 << 10, 1 << 15, 1 << 20])
     assert [row.t for row in rows] == [10, 15, 20]
-    assert sum(sieved) == (1 << 20) - 2
+    # each range [lo, hi) sieves [max(2, lo - W), hi): [2, 2^20) once, [2, 2^10)
+    # again under the second range's look-back and W numbers under the third's
+    assert sum(sieved) == (1 << 20) - 2 + (1 << 10) - 2 + gapstats._GAP_WINDOW
 
 
 def test_table1_rejects_non_power_of_two():
