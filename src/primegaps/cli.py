@@ -135,7 +135,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     reports.check_budget(max(limits), args.budget_seconds, args.force)
     rows = reports.table1_rows(limits)
     config = RunConfig(
-        limit=max(limits), rule=BoundaryRule.STRICT, include_first=False, ks=(1, 2, 3, 4)
+        limit=max(limits), rule=BoundaryRule.STRICT, include_first=False, ks=reports._TABLE1_KS
     )
     with _output(args.out) as out:
         reports.write_table1(out, rows, config)

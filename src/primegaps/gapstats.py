@@ -44,7 +44,7 @@ __all__ = [
 _RECORD_BLOCK = 1 << 12  # gaps per block of the record scan in from_gap_arrays
 # Wider than every prime gap below 2**64 (none exceeds 1550, the shipped record
 # table): a sweep range looks back this far for its first gap's lower prime, and
-# interval_gap_bracket looks this far past b for nextprime(b).
+# interval_gap_bracket finds its three primes this close to a and b.
 _GAP_WINDOW = 1 << 12
 # Fewest numbers in a share: a fork and its copy-on-write faults cost ~30 ms, repaid from 2^25 on.
 _SHARE_FLOOR = 1 << 24
@@ -295,10 +295,10 @@ def gap_statistics_at(
     p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  The sweep starts at 2, or
     at 4 with include_first=False: no gap ending at 4 or later is d_1 = 1.  Limits
     lie in [3, 2**63 - 1], in any order, repeats allowed, and are checked before any
-    fold.  One sweep from the start to the top bound is cut at every bound and into
-    shares ending on window multiples, at most one per usable CPU (as taskset sets
-    them) and per _SHARE_FLOOR numbers; the shares after the first fold in forked
-    children.  Each range holds the gaps whose upper prime lies in it, so the stitch
+    fold.  One sweep from the start to the top bound is cut at every bound and at
+    top * i // count for 0 < i < count, where the share count is at most one per
+    usable CPU (as taskset sets them) and per _SHARE_FLOOR numbers; the shares
+    after the first fold in forked children.  Each range holds the gaps whose upper prime lies in it, so the stitch
     only shifts its indices.
     """
     limits = list(limits)
@@ -310,8 +310,7 @@ def gap_statistics_at(
     top = max(bounds, default=start)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     count = max(1, min(cpus, top // _SHARE_FLOOR))
-    unit = min(_SHARE_FLOOR, DEFAULT_SEGMENT_SIZE)
-    cuts = [top * i // count // unit * unit for i in range(1, count)]
+    cuts = [top * i // count for i in range(1, count)]
     ranges = list(pairwise(sorted({start, *bounds, *cuts})))
     shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([start, *cuts, top])]
     total, at = GapAccumulator(), {start: GapAccumulator()}
@@ -350,29 +349,24 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     deficit at a; at typical scales L2/L -> 1 but the right inequality
     can fail (e.g. a=8, b=30 gives L2 = 20 < L = 22).
 
-    One pass over (a, b] and the window after b keeps only the first
-    and last prime inside, their count, and the next prime after b.
-    b and nextprime(b) must both lie in the supported range.
+    Only three primes count: the first after a, the last <= b and the
+    next after b, each within _GAP_WINDOW of a or b.  When (a, b] and the
+    window after b fit one segment they are sieved whole; otherwise only
+    _GAP_WINDOW past a and _GAP_WINDOW on each side of b.  b and
+    nextprime(b) must both lie in the supported range.
     """
     if not 2 < a < b:
         raise ValueError(f"need 2 < a < b, got ({a}, {b})")
     _check_limit(b)
-    first = last = after = None
-    count = 0
     bound = min(b + 1 + _GAP_WINDOW, MAX_LIMIT + 1)  # cut at 2**63, the end of the range
-    for seg in iter_prime_segments(bound, lo=a + 1):
-        primes = seg.primes
-        cut = int(np.searchsorted(primes, b, side="right"))
-        if cut:
-            if first is None:
-                first = int(primes[0])
-            last = int(primes[cut - 1])
-            count += cut
-        if cut < primes.size:
-            after = int(primes[cut])
-            break
-    if after is None:
+    spans = [(a + 1, bound)]
+    if bound - a > DEFAULT_SEGMENT_SIZE:
+        spans = [(a + 1, a + 1 + _GAP_WINDOW), (b + 1 - _GAP_WINDOW, bound)]
+    primes = np.concatenate([seg.primes for lo, hi in spans for seg in iter_prime_segments(hi, lo=lo)])
+    cut = int(np.searchsorted(primes, b, side="right"))
+    if cut == primes.size:
         raise ValueError(f"no prime follows b = {b} below {bound}")
-    if count < 2:
-        raise ValueError(f"interval ({a}, {b}] holds {count} primes; need >= 2")
+    if cut < 2:  # two spans always hold two primes <= b
+        raise ValueError(f"interval ({a}, {b}] holds {cut} primes; need >= 2")
+    first, last, after = primes[[0, cut - 1, cut]].tolist()
     return last - first, b - a, after - first

@@ -7,7 +7,6 @@ print with six significant digits; integers print in full.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import TextIO
@@ -98,8 +97,6 @@ def format_value(value: object) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.6g}"
     return str(value)
 

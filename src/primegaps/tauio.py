@@ -43,7 +43,7 @@ def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             fields = line.split()
-            if not fields and line.strip() == "":
+            if not fields:
                 raise TauFormatError(f"{path}:{lineno}: blank line")
             if len(fields) != 2:
                 raise TauFormatError(

@@ -1,11 +1,13 @@
 """End-to-end acceptance checks.
 
-Eleven numbered checks gate the package: sieved moment tables, gap-count
+Twelve numbered checks gate the package: sieved moment tables, gap-count
 spots, maximal-gap records and their model columns, the first-moment
 sum identity, the variance-to-mean-squared trend, exponential order
 statistics, the twin-product constant, simulated spacings, the file
-formats, and the power-sum form of the moment conjecture.  Each check prints exactly one verdict line on the real
-stdout (bypassing capture) so a plain ``pytest -v`` run shows them.
+formats, the power-sum form of the moment conjecture, and the shipped
+record table with its nearest squared-log curve.  Each check prints
+exactly one verdict line on the real stdout (bypassing capture) so a
+plain ``pytest -v`` run shows them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from collections.abc import Callable
 
 import numpy as np
@@ -53,6 +56,8 @@ from primegaps.gapstats import (
 from primegaps.reports import collect_records, parse_limit, table1_rows, table2_rows
 from primegaps.sieve import simple_sieve
 from primegaps.tauio import read_tau, write_tau
+
+import oracles
 
 ZETA2 = math.pi**2 / 6
 
@@ -367,3 +372,25 @@ def test_acceptance_11_power_sums_against_the_moment_model(announce) -> None:
         )
 
     _run(announce, 11, "gap power sums against k! x (log x)^(k-1) at 2^20..2^27", body)
+
+
+# The four squared-log curves of the record comparison, n and p_n scales
+_SQUARED_LOG_CURVES = ("cramer_shanks_n", "granville_n", "cramer_shanks_pn", "granville_pn")
+
+
+def test_acceptance_12_record_table_gaps_and_nearest_curve(announce) -> None:
+    def body() -> str:
+        known = [r for r in known_max_gap_records() if r.index >= 2]
+        assert len(known) == 79
+        for r in known:  # p_n is odd from n = 2 on
+            upper = r.lower_prime + r.gap
+            assert oracles.is_prime_mr(r.lower_prime) and oracles.is_prime_mr(upper), r
+            assert not any(oracles.is_prime_mr(m) for m in range(r.lower_prime + 2, upper, 2)), r
+        nearest = Counter(
+            min(_SQUARED_LOG_CURVES, key=lambda key: abs(row.observed - row.model_values[key]))
+            for row in compare_max_gaps(known)
+        )
+        assert nearest == {"cramer_shanks_n": 72, "granville_n": 5, "cramer_shanks_pn": 1, "granville_pn": 1}
+        return "79 rows are prime gaps of exactly G_n; (log n)^2 nearest in 72 of 79"
+
+    _run(announce, 12, "shipped record table by Miller-Rabin, nearest squared-log curve", body)

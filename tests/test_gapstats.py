@@ -89,10 +89,11 @@ def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, fold_se
 
 # split sweeps: shares folded in forked children and stitched in order
 
-# With 2^12-number shares and three CPUs the sweep to 20000 is cut at 4096
-# and 12288: a limit inside the first share, one on the cut, one past it,
-# a repeat, and the prime 12289 just past the second cut.
-SPLIT_LIMITS = [1000, 4096, 4097, 4097, 12289, 20000]
+# With 2^12-number shares and three CPUs the sweep to 20000 is cut at 6666
+# and 13333 (6667 and 13334 under INCLUSIVE, whose top is 20001): a limit
+# inside the first share, one on the first cut under both rules, one past it,
+# a repeat, and the prime 13337 just past the second cut.
+SPLIT_LIMITS = [1000, 6666, 6667, 6667, 13337, 20000]
 
 
 def use_cpus(monkeypatch, count: int) -> None:
@@ -103,6 +104,19 @@ def use_cpus(monkeypatch, count: int) -> None:
 def small_shares(monkeypatch):
     monkeypatch.setattr(gapstats, "_SHARE_FLOOR", 1 << 12)
     use_cpus(monkeypatch, 3)
+
+
+def sieved_widths(monkeypatch) -> list[int]:
+    """The width of every segment gapstats sieves in this process."""
+    widths, walk = [], gapstats.iter_prime_segments
+
+    def counting_walk(bound, lo=2):
+        for seg in walk(bound, lo=lo):
+            widths.append(seg.hi - seg.lo)
+            yield seg
+
+    monkeypatch.setattr(gapstats, "iter_prime_segments", counting_walk)
+    return widths
 
 
 def folds_in_this_process(monkeypatch) -> list[tuple[int, int]]:
@@ -132,7 +146,7 @@ def oracle_accumulator(limit: int, rule: BoundaryRule, include_first: bool) -> G
 @pytest.mark.parametrize("rule", list(BoundaryRule))
 @pytest.mark.parametrize("include_first", [True, False])
 def test_sweep_answers_limits_in_the_callers_order(rule, include_first, small_shares):
-    shuffled = [12289, 4097, 20000, 1000, 4097, 4096]  # SPLIT_LIMITS, repeat kept
+    shuffled = [13337, 6667, 20000, 1000, 6667, 6666]  # SPLIT_LIMITS, repeat kept
     assert sorted(shuffled) == SPLIT_LIMITS
     sweep = gap_statistics_at(iter(shuffled), rule, include_first)
     assert isinstance(sweep, list)
@@ -193,7 +207,8 @@ def test_split_sweep_equals_the_in_process_sweep_and_the_oracle(
 ):
     folded_here = folds_in_this_process(monkeypatch)
     split = list(gap_statistics_at(SPLIT_LIMITS, rule, include_first))
-    assert max(hi for _, hi in folded_here) == 4096  # the other shares folded in children
+    first_cut = 6666 if rule is BoundaryRule.STRICT else 6667  # 20000 // 3, 20001 // 3
+    assert max(hi for _, hi in folded_here) == first_cut  # the other shares folded in children
     use_cpus(monkeypatch, 1)
     assert list(gap_statistics_at(SPLIT_LIMITS, rule, include_first)) == split
     for limit, acc in zip(SPLIT_LIMITS, split, strict=True):
@@ -249,7 +264,7 @@ def killed_in_the_child(monkeypatch) -> None:
 def test_a_child_killed_before_its_result_names_its_share(small_shares, monkeypatch):
     killed_in_the_child(monkeypatch)
     start = time.monotonic()
-    with pytest.raises(ChildProcessError, match=r"share \[4096, 12288\) ended with exit code -9"):
+    with pytest.raises(ChildProcessError, match=r"share \[6666, 13333\) ended with exit code -9"):
         gap_statistics_at(SPLIT_LIMITS)
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
@@ -276,14 +291,7 @@ def test_a_daemonic_worker_folds_its_sweep_in_process(small_shares):
 
 def test_sweep_folds_in_process_while_a_second_thread_is_alive(small_shares, monkeypatch):
     # a fork would copy the other thread's locks in whatever state they are
-    widths, walk = [], gapstats.iter_prime_segments
-
-    def counting_walk(bound, lo=2):
-        for seg in walk(bound, lo=lo):
-            widths.append(seg.hi - seg.lo)
-            yield seg
-
-    monkeypatch.setattr(gapstats, "iter_prime_segments", counting_walk)
+    widths = sieved_widths(monkeypatch)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -295,11 +303,11 @@ def test_sweep_folds_in_process_while_a_second_thread_is_alive(small_shares, mon
     assert not other.is_alive()
     # every range was sieved here, each from _GAP_WINDOW below its start (not below 2)
     window = gapstats._GAP_WINDOW
-    ranges = [(4, 4096), (4096, 12288), (12288, 20000)]
+    ranges = [(4, 6666), (6666, 13333), (13333, 20000)]
     assert sum(widths) == sum(hi - max(2, lo - window) for lo, hi in ranges)
     widths.clear()
     assert gap_statistics(20000) == threaded
-    assert sum(widths) == 4096 - 2  # alone, this process sieves its own share only
+    assert sum(widths) == 6666 - 2  # alone, this process sieves its own share only
 
 
 def test_histogram_totals_on_random_limits(oracle_primes_1e6):
@@ -516,22 +524,39 @@ def test_bracket_right_sum_usually_but_not_always_covers_the_interval():
     assert l1 < length <= l2
 
 
+# (a, b] and the window after b span b + 1 + _GAP_WINDOW - a numbers: at most one
+# segment is sieved whole, a longer span only near a and b
+_ONE_SEGMENT = 2**40 + 12345 + sieve.DEFAULT_SEGMENT_SIZE - 1 - gapstats._GAP_WINDOW
+_PRIME_40 = oracles.next_prime(2**40 + 2**21)
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
         # a and b prime, so (a, b] drops a and keeps b; 2.5 sieve windows
         (oracles.next_prime(2**32), oracles.prev_prime(oracles.next_prime(2**32) + (5 << 19))),
         (2**40 + 12345, 2**40 + 32345),
+        (2**40 + 12345, _ONE_SEGMENT),
+        (2**40 + 12345, _ONE_SEGMENT + 1),
+        (_PRIME_40, oracles.prev_prime(_PRIME_40 + 3 * 2**20)),
     ],
-    ids=["2^32-three-windows", "2^40-short"],
+    ids=["2^32-three-windows", "2^40-short", "2^40-one-segment", "2^40-one-past", "2^40-primes-two-spans"],
 )
 def test_bracket_agrees_with_miller_rabin_at_height(a, b):
     assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
 
 
+def test_a_long_bracket_sieves_only_near_a_and_b(monkeypatch):
+    # _GAP_WINDOW past a, and _GAP_WINDOW on each side of b, whatever b - a is
+    widths = sieved_widths(monkeypatch)
+    a, b = 2**32, 2**32 + 2**24
+    assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
+    assert sum(widths) == 3 * gapstats._GAP_WINDOW
+
+
 def test_gap_window_exceeds_every_known_maximal_gap():
-    # so the one walk past b finds nextprime(b), and a sweep range's look-back
-    # finds the prime before its start, for every number below 2^64
+    # so the bracket finds its three primes this close to a and b, and a sweep
+    # range's look-back finds the prime before its start, for every number below 2^64
     assert gapstats._GAP_WINDOW > max(r.gap for r in known_max_gap_records())
 
 
