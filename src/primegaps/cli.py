@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per reproducible artifact.
 
-`moments` is the moment figure and the only report with the moment flags;
-`figure-data` (alias `compare`) is the maximal-gap figure, one of the three
-record reports that share _cmd_records.
+Every sieving report runs through _run_report, which parses --limit and
+checks the budget once. `moments` is the moment figure and the only report
+with the moment flags; `figure-data` (alias `compare`) is the maximal-gap
+figure, one of the three record reports that share _records.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 refused because the estimated runtime exceeds the budget.
@@ -33,10 +34,12 @@ def _budget_seconds(text: str) -> float:
     return value
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, report, limit_help: str | None = None) -> None:
+    parser.add_argument("--limit", required=True, help=limit_help)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--budget-seconds", type=_budget_seconds, default=DEFAULT_BUDGET_SECONDS)
     parser.add_argument("--force", action="store_true", help="ignore the runtime budget")
+    parser.set_defaults(func=_run_report, report=report)
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
@@ -62,10 +65,17 @@ def _output(path: str | None):
         fh.write(buffer.getvalue())
 
 
-def _cmd_taus(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
-    hist = tau_histogram(limit)
+def _run_report(args: argparse.Namespace) -> int:
+    """Parse the limits (a comma list for table1 alone), refuse a run whose
+    largest limit is over budget, then hand the limits to args.report."""
+    texts = args.limit.split(",") if args.report is _table1 else [args.limit]
+    limits = [parse_limit(text) for text in texts]
+    reports.check_budget(max(limits), args.budget_seconds, args.force)
+    return args.report(args, limits)
+
+
+def _taus(args: argparse.Namespace, limits: list[int]) -> int:
+    hist = tau_histogram(limits[0])
     if args.out is None:
         sys.stdout.write(tauio.format_tau(hist))
     else:
@@ -73,11 +83,9 @@ def _cmd_taus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_moments(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
+def _moments(args: argparse.Namespace, limits: list[int]) -> int:
     config = RunConfig(
-        limit=limit,
+        limit=limits[0],
         rule=BoundaryRule(args.rule),
         include_first=args.include_first,
         ks=_parse_ks(args.k),
@@ -87,21 +95,17 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_records(args: argparse.Namespace) -> int:
+def _records(args: argparse.Namespace, limits: list[int]) -> int:
     """Sieve the record gaps G_n up to the limit and hand them to args.write."""
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
-    records = reports.collect_records(limit, use_fixture=args.use_fixture)
-    config = RunConfig(limit=limit, rule=BoundaryRule.STRICT, include_first=True)
+    records = reports.collect_records(limits[0], use_fixture=args.use_fixture)
+    config = RunConfig(limit=limits[0], rule=BoundaryRule.STRICT, include_first=True)
     with _output(args.out) as out:
         args.write(out, records, config)
     return 0
 
 
-def _cmd_verify_tau(args: argparse.Namespace) -> int:
-    limit = parse_limit(args.limit)
-    reports.check_budget(limit, args.budget_seconds, args.force)
-    result = tauio.verify_tau(args.reference, limit)
+def _verify_tau(args: argparse.Namespace, limits: list[int]) -> int:
+    result = tauio.verify_tau(args.reference, limits[0])
     with _output(args.out) as out:
         out.write(result.summary() + "\n")
     return 0 if result.matches else 1
@@ -130,9 +134,7 @@ def _cmd_expmodel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    limits = [parse_limit(part) for part in args.limit.split(",")]
-    reports.check_budget(max(limits), args.budget_seconds, args.force)
+def _table1(args: argparse.Namespace, limits: list[int]) -> int:
     rows = reports.table1_rows(limits)
     config = RunConfig(
         limit=max(limits), rule=BoundaryRule.STRICT, include_first=False, ks=reports._TABLE1_KS
@@ -150,12 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("taus", help="emit tau gap counts in the record-file format")
-    p.add_argument("--limit", required=True)
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_taus)
+    _add_run_flags(p, _taus)
 
     p = sub.add_parser("moments", help="gap moments against k! (log n)^k")
-    p.add_argument("--limit", required=True, help="sieve limit, decimal or 2^t")
     p.add_argument("--rule", choices=["strict", "inclusive"], default="strict",
                    help="boundary rule at the limit (default strict)")
     group = p.add_mutually_exclusive_group()
@@ -163,19 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include the unique odd first gap d_1 = 1")
     group.add_argument("--exclude-first", dest="include_first", action="store_false")
     p.add_argument("--k", default="1,2,3,4", help="comma-separated moment orders")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_moments)
+    _add_run_flags(p, _moments, "sieve limit, decimal or 2^t")
 
     p = sub.add_parser("maximal-gaps", help="record gaps up to a limit (CSV)")
-    p.add_argument("--limit", required=True)
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_records, write=reports.write_records, use_fixture=False)
+    _add_run_flags(p, _records)
+    p.set_defaults(write=reports.write_records, use_fixture=False)
 
     p = sub.add_parser("verify-tau", help="recompute and diff a tau file")
     p.add_argument("--reference", required=True, help="tau file to check")
-    p.add_argument("--limit", required=True)
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_verify_tau)
+    _add_run_flags(p, _verify_tau)
 
     p = sub.add_parser("expmodel", help="exponential order-statistic closed forms")
     p.add_argument("--n", type=int, required=True)
@@ -188,27 +183,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expmodel)
 
     p = sub.add_parser("table1", help="moment table over power-of-two limits")
-    p.add_argument("--limit", required=True,
-                   help="comma-separated power-of-two limits, e.g. 2^15,2^18")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_table1)
+    _add_run_flags(p, _table1, "comma-separated power-of-two limits, e.g. 2^15,2^18")
 
     p = sub.add_parser("table2", help="records exceeding the Granville scale")
-    p.add_argument("--limit", required=True)
     p.add_argument("--use-fixture", action="store_true")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_records, write=reports.write_table2)
+    _add_run_flags(p, _records)
+    p.set_defaults(write=reports.write_table2)
 
     p = sub.add_parser(
         "figure-data",
         aliases=["compare"],
         help="plot-ready CSV of the record gaps against the maximal-gap curves",
     )
-    p.add_argument("--limit", required=True)
     p.add_argument("--use-fixture", action="store_true",
                    help="extend the rows with the shipped record table")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_records, write=reports.write_figure_maxgaps)
+    _add_run_flags(p, _records)
+    p.set_defaults(write=reports.write_figure_maxgaps)
 
     return parser
 

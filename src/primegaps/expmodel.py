@@ -139,28 +139,26 @@ def min_order_quantile(q: float, params: ExpParams) -> float:
     return -math.log(q) / (params.n * params.rate)
 
 
-def max_order_cdf(y: float, params: ExpParams) -> float:
-    """P(X_(n) <= y) = (1 - exp(-rate*y))^n.
-
-    Evaluated as exp(n * log1p(-exp(-rate*y))): the direct power
-    magnifies the base's rounding n-fold, visible already at n ~ 10^7.
-    """
+def _max_order_log_cdf(y: float, params: ExpParams) -> float:
+    """log P(X_(n) <= y) as n * log1p(-exp(-rate*y)): the direct power
+    (1 - exp(-rate*y))^n magnifies the base's rounding n-fold, visible
+    already at n ~ 10^7. A NaN y stays NaN."""
     if y <= 0:
-        return 0.0
+        return -math.inf
     tail = math.exp(-params.rate * y)
     if tail >= 1.0:
-        return 0.0
-    return math.exp(params.n * math.log1p(-tail))
+        return -math.inf
+    return params.n * math.log1p(-tail)
+
+
+def max_order_cdf(y: float, params: ExpParams) -> float:
+    """P(X_(n) <= y) = (1 - exp(-rate*y))^n."""
+    return math.exp(_max_order_log_cdf(y, params))
 
 
 def max_order_sf(y: float, params: ExpParams) -> float:
     """P(X_(n) > y), stable in the far upper tail where the cdf is ~1."""
-    if y <= 0:
-        return 1.0
-    tail = math.exp(-params.rate * y)
-    if tail >= 1.0:
-        return 1.0
-    return -math.expm1(params.n * math.log1p(-tail))
+    return -math.expm1(_max_order_log_cdf(y, params))
 
 
 def max_order_quantile(q: float, params: ExpParams) -> float:

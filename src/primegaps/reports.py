@@ -1,8 +1,9 @@
 """Report generation: limit parsing, CSV tables and the runtime budget.
 
-Every report starts with a single "#"-prefixed comment line recording
-the run configuration, followed by a CSV header and data rows.  Floats
-print with six significant digits; integers print in full.
+Every report starts with a "#"-prefixed comment line recording the run
+configuration, followed by a CSV header and data rows; the moment figure
+puts a second "#" line (mean, variance, taylor_ratio) before its header.
+Floats print with six significant digits; integers print in full.
 """
 
 from __future__ import annotations

@@ -75,6 +75,45 @@ def test_budget_refusal_and_force(tmp_path, capsys):
     assert out.exists()
 
 
+SIEVING_REPORTS = [
+    ["taus"],
+    ["moments"],
+    ["maximal-gaps"],
+    ["verify-tau", "--reference", "missing.dat"],
+    ["table1"],
+    ["table2"],
+    ["figure-data"],
+    ["compare"],
+]
+
+
+@pytest.mark.parametrize("command", SIEVING_REPORTS, ids=lambda argv: argv[0])
+def test_every_sieving_report_refuses_a_run_over_budget(command, tmp_path, capsys):
+    # 2^20 is quick to sieve, so a report that skipped the guard would fail
+    # here by exiting 0, 1 or 2, not by running long; the refusal comes
+    # before verify-tau reads its (missing) reference
+    path = tmp_path / "report.txt"
+    path.write_text("earlier report\n", encoding="ascii")
+    argv = command + ["--limit", "2^20", "--budget-seconds", "0.001"]
+    for extra in ([], ["--out", str(path)]):
+        assert main(argv + extra) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "exceeds budget" in err
+    assert path.read_text(encoding="ascii") == "earlier report\n"
+
+
+@pytest.mark.parametrize("command", SIEVING_REPORTS, ids=lambda argv: argv[0])
+def test_every_sieving_report_rejects_a_malformed_limit(command, capsys):
+    # only table1 reads a comma list; every other report takes one limit
+    malformed = ["junk"] if command == ["table1"] else ["junk", "2^20,2^24"]
+    for limit in malformed:
+        assert main(command + ["--limit", limit]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: limit {limit!r}: expected a decimal integer or 2^t\n"
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
 def test_budget_must_be_finite_and_positive(budget, capsys):
     # nan would turn the guard off and -1 would refuse every run; --force lifts it

@@ -214,6 +214,22 @@ def test_cdf_sf_complementarity():
     assert max_order_cdf(-1.0, params) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 2**63 - 1])
+def test_cdf_and_sf_at_the_edges_of_y(n):
+    # y <= 0 (either zero), or rate*y so small that exp(-rate*y) rounds to 1:
+    # the maximum lies above y for sure
+    for rate, y in ((1.0, 0.0), (1.0, -0.0), (1.0, 1e-17), (1e-300, 1.0)):
+        params = ExpParams(n=n, rate=rate)
+        assert math.exp(-rate * y) == 1.0
+        assert (max_order_cdf(y, params), max_order_sf(y, params)) == (0.0, 1.0)
+    params = ExpParams(n=n, rate=1.0)
+    assert (max_order_cdf(math.inf, params), max_order_sf(math.inf, params)) == (1.0, 0.0)
+    assert math.copysign(1.0, max_order_sf(math.inf, params)) == 1.0
+    # a NaN y is not "y <= 0" and not "tail >= 1": it stays NaN
+    assert math.isnan(max_order_cdf(math.nan, params))
+    assert math.isnan(max_order_sf(math.nan, params))
+
+
 def test_quantile_rejects_degenerate_probabilities():
     params = ExpParams(n=10, rate=1.0)
     for q in (0.0, 1.0, -0.1, 1.1):
