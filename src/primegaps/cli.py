@@ -136,11 +136,8 @@ def _cmd_expmodel(args: argparse.Namespace) -> int:
 
 def _table1(args: argparse.Namespace, limits: list[int]) -> int:
     rows = reports.table1_rows(limits)
-    config = RunConfig(
-        limit=max(limits), rule=BoundaryRule.STRICT, include_first=False, ks=reports._TABLE1_KS
-    )
     with _output(args.out) as out:
-        reports.write_table1(out, rows, config)
+        reports.write_table1(out, rows)
     return 0
 
 

@@ -83,7 +83,7 @@ class RunConfig:
         parts = [
             f"limit={self.limit}",
             f"rule={self.rule.value}",
-            f"include_first={str(self.include_first).lower()}",
+            f"include_first={format_value(self.include_first)}",
         ]
         if self.ks:
             parts.append("ks=" + ",".join(str(k) for k in self.ks))
@@ -102,8 +102,10 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def _write_csv(out: TextIO, config: RunConfig, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(out: TextIO, config: RunConfig, header: list[str], rows: list[tuple], *notes: str) -> None:
     out.write(config.header() + "\n")
+    for note in notes:
+        out.write(f"# {note}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(format_value(v) for v in row) + "\n")
@@ -166,7 +168,8 @@ def table1_rows(limits: list[int]) -> list[Table1Row]:
     ]
 
 
-def write_table1(out: TextIO, rows: list[Table1Row], config: RunConfig) -> None:
+def write_table1(out: TextIO, rows: list[Table1Row]) -> None:
+    config = RunConfig(1 << max(r.t for r in rows), BoundaryRule.STRICT, False, _TABLE1_KS)
     header = ["t", "n", "mu_1", "mu_2", "mu_3", "mu_4", "G_n"]
     data = [(r.t, r.n, *r.mus, r.max_gap) for r in rows]
     _write_csv(out, config, header, data)
@@ -188,20 +191,9 @@ _TABLE2_HEADER = _FIGURE_MAXGAP_HEADER[:7]
 
 
 def _maxgap_rows(records: list[MaxGapRecord]) -> list[tuple]:
-    """One row per record in _FIGURE_MAXGAP_HEADER order."""
+    """One row per record in _FIGURE_MAXGAP_HEADER order, the models as compare_max_gaps lists them."""
     return [
-        (
-            row.n,
-            int(row.observed),
-            row.x_or_pn,
-            row.model_values["cramer_shanks_n"],
-            row.model_values["cramer_shanks_pn"],
-            row.model_values["granville_n"],
-            row.model_values["granville_pn"],
-            row.model_values["wolf"],
-            row.model_values["kourbatov"],
-            bool(row.exceeds_granville),
-        )
+        (row.n, int(row.observed), row.x_or_pn, *row.model_values.values(), bool(row.exceeds_granville))
         for row in compare_max_gaps(records)
     ]
 
@@ -242,17 +234,16 @@ def write_figure_moments(out: TextIO, config: RunConfig) -> None:
     """
     acc = gap_statistics(config.limit, config.rule, config.include_first)
     summary = moments(acc, list(config.ks))
-    rows = compare_moments(summary, list(config.ks))
-    out.write(config.header() + "\n")
-    out.write(
-        f"# mean={format_value(summary.mean)}"
+    rows = [
+        (row.n, row.k, row.observed, row.model_values["exp_moment"], row.ratios["exp_moment"])
+        for row in compare_moments(summary, list(config.ks))
+    ]
+    note = (
+        f"mean={format_value(summary.mean)}"
         f" variance={format_value(summary.variance)}"
-        f" taylor_ratio={format_value(summary.taylor_ratio)}\n"
+        f" taylor_ratio={format_value(summary.taylor_ratio)}"
     )
-    out.write("n,k,observed,model,ratio\n")
-    for row in rows:
-        values = (row.n, row.k, row.observed, row.model_values["exp_moment"], row.ratios["exp_moment"])
-        out.write(",".join(format_value(v) for v in values) + "\n")
+    _write_csv(out, config, ["n", "k", "observed", "model", "ratio"], rows, note)
 
 
 def write_figure_maxgaps(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegaps import BoundaryRule, gapstats, known_max_gap_records, parse_limit
+from primegaps.conjectures import compare_max_gaps
 from primegaps.reports import (
+    _FIGURE_MAXGAP_HEADER,
     BudgetExceeded,
     DEFAULT_BUDGET_SECONDS,
     ESTIMATED_NUMBERS_PER_SECOND,
@@ -136,8 +138,7 @@ def write_to_string(writer, *args) -> list[str]:
 
 def test_write_table1_layout():
     rows = [Table1Row(t=15, n=3510, mus=(9.3293, 136.2017, 2781.8, 74291.9), max_gap=72)]
-    config = RunConfig(limit=1 << 15, rule=BoundaryRule.STRICT, include_first=False, ks=(1, 2, 3, 4))
-    lines = write_to_string(write_table1, rows, config)
+    lines = write_to_string(write_table1, rows)
     assert lines[0].startswith("# limit=32768 rule=strict include_first=false")
     assert lines[1] == "t,n,mu_1,mu_2,mu_3,mu_4,G_n"
     assert lines[2] == "15,3510,9.3293,136.202,2781.8,74291.9,72"
@@ -210,3 +211,18 @@ def test_write_figure_maxgaps_layout():
     assert first[9] == "true"
     flags = [line.split(",")[9] for line in lines[2:]]
     assert flags == ["true", "true", "true", "true", "false", "true", "false", "false", "false", "true", "false"]
+
+
+def test_max_gap_model_columns_are_the_models_in_header_order():
+    # _maxgap_rows writes model_values in their own order, so that order is the column order
+    expected = {
+        "cramer_shanks_n": "log_n_sq",
+        "cramer_shanks_pn": "log_pn_sq",
+        "granville_n": "granville_n",
+        "granville_pn": "granville_pn",
+        "wolf": "wolf",
+        "kourbatov": "kourbatov",
+    }
+    for row in compare_max_gaps(known_max_gap_records()):
+        assert list(row.model_values) == list(expected)
+        assert dict(zip(row.model_values, _FIGURE_MAXGAP_HEADER[3:9], strict=True)) == expected
