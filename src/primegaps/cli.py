@@ -47,8 +47,8 @@ def _parse_ks(text: str) -> tuple[int, ...]:
         ks = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"moment orders {text!r}: expected comma-separated integers")
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError(f"moment orders must be positive, got {text!r}")
+    if any(k < 1 for k in ks) or len(set(ks)) < len(ks):
+        raise ValueError(f"moment orders must be positive and distinct, got {text!r}")
     return ks
 
 

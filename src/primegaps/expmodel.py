@@ -231,7 +231,7 @@ def simulate_spacings(n: int, seed: int) -> SpacingsSample:
     if n < 1:
         raise ValueError(f"sample size {n} must be >= 1")
     rng = np.random.default_rng(seed)
-    draws = rng.exponential(1.0, size=n)
+    draws = rng.standard_exponential(n)
     draws /= draws.sum()
     return SpacingsSample(n=n, spacings=draws, seed=seed)
 

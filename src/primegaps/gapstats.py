@@ -8,8 +8,8 @@ so where the cuts and the sieve's segments fall never changes a statistic.
 One sweep answers limits in any order, a list in the caller's order, its
 range cap checked before any fold.
 Power sums are plain Python integers and therefore exact at any k;
-mean, variance and the Taylor ratio are reduced as exact rationals
-before the final float conversion.
+each moment, the mean, the variance and the Taylor ratio is one
+correctly rounded true division of two exact integers.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import os
 import threading
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
@@ -180,9 +179,9 @@ class MomentSummary:
     """Raw moments about the origin plus mean/variance/Taylor ratio.
 
     power_sums holds exact integer S_k for every requested k; moments
-    holds mu'_k = S_k / n.  variance uses the n/(n-1) correction
-    v = (n S_2 - S_1^2) / (n (n-1)) and taylor_ratio is v / mean^2,
-    both reduced exactly before conversion.
+    holds mu'_k = S_k / n, variance v = (n S_2 - S_1^2) / (n (n-1)) and
+    taylor_ratio v / mean^2 = n (n S_2 - S_1^2) / ((n-1) S_1^2), each one
+    correctly rounded true division of exact ints, as float(Fraction) is.
     """
 
     n: int
@@ -206,15 +205,13 @@ def moments(acc: GapAccumulator, ks: Iterable[int]) -> MomentSummary:
     s1 = sums[1] if 1 in sums else power_sum(acc, 1)
     s2 = sums[2] if 2 in sums else power_sum(acc, 2)
     try:
-        mus = {k: float(Fraction(s, n)) for k, s in sums.items()}
+        mus = {k: s / n for k, s in sums.items()}
     except OverflowError:  # every gap is >= 1, so S_k/n grows with k
         raise ValueError(f"gap moment S_k/n overflows a float at k={orders[-1]}, n={n}") from None
-    mean = float(Fraction(s1, n))
     if n < 2:
-        return MomentSummary(n, sums, mus, mean, None, None)
-    var_frac = Fraction(n * s2 - s1 * s1, n * (n - 1))
-    taylor = var_frac / Fraction(s1, n) ** 2
-    return MomentSummary(n, sums, mus, mean, float(var_frac), float(taylor))
+        return MomentSummary(n, sums, mus, s1 / n, None, None)
+    spread = n * s2 - s1 * s1
+    return MomentSummary(n, sums, mus, s1 / n, spread / (n * (n - 1)), n * spread / ((n - 1) * s1 * s1))
 
 
 def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
@@ -317,7 +314,7 @@ def gap_statistics_at(
     for (_, hi), acc in zip(ranges, _fold_shares(shares)):
         if acc.n:  # its indices shift by the gaps before it, and by d_1 when that is left out
             shift = total.n + (not include_first)
-            records = [replace(r, index=r.index + shift) for r in acc.records]
+            records = [MaxGapRecord(r.index + shift, r.gap, r.lower_prime) for r in acc.records]
             total = merge(total, GapAccumulator(shift + 1, shift + acc.n, acc.counts, records))
         at[hi] = total
     return [at[bound] for bound in bounds]

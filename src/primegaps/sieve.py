@@ -17,9 +17,9 @@ slow loop: a tail of True slots lifts the mask past 0.1 and is cut off.
 iter_prime_segments walks any window [lo, bound) with the base primes
 <= isqrt(bound - 1) from simple_sieve, which starts from a read-only table
 of the primes <= isqrt(isqrt(2**63 - 1)) built once per process by the
-same kernel, so no sieve recurses more than one level.  The segment size
-is a parameter of the walker alone and never changes a prime.  Gap
-statistics are folded from the segments' prime arrays in gapstats.
+same kernel, so no sieve recurses more than one level.  Its windows are
+DEFAULT_SEGMENT_SIZE wide, which never changes a prime.  Gap statistics
+are folded from the segments' prime arrays in gapstats.
 """
 
 from __future__ import annotations
@@ -205,21 +205,17 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     return PrimeSegment(lo=lo, hi=hi, primes=odds)
 
 
-def iter_prime_segments(
-    bound: int, segment_size: int = DEFAULT_SEGMENT_SIZE, lo: int = 2
-) -> Iterator[PrimeSegment]:
-    """Yield consecutive PrimeSegments covering [lo, bound).
+def iter_prime_segments(bound: int, lo: int = 2) -> Iterator[PrimeSegment]:
+    """Yield consecutive PrimeSegments covering [lo, bound), DEFAULT_SEGMENT_SIZE wide but the last.
 
     One base sieve up to isqrt(bound - 1) serves every segment.
     """
     if bound <= lo:
         return
     _check_limit(bound - 1)
-    if not 64 <= segment_size <= MAX_SEGMENT_SIZE:
-        raise ValueError(f"segment size {segment_size} outside [64, {MAX_SEGMENT_SIZE}]")
     base = simple_sieve(math.isqrt(bound - 1))
     while lo < bound:
-        hi = min(lo + segment_size, bound)
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, bound)
         yield sieve_segment(lo, hi, base)
         lo = hi
 

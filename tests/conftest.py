@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 
-from primegaps import GapAccumulator, gapstats, sieve, tau_histogram
+from primegaps import GapAccumulator, sieve, tau_histogram
 
 import oracles
 
@@ -29,14 +27,13 @@ def acc_100k(oracle_gaps_100k) -> GapAccumulator:
 
 
 @pytest.fixture
-def fold_segment_size(monkeypatch):
-    """Call with a size to make the gap fold walk the sieve in segments of it."""
+def segment_width(monkeypatch):
+    """Call with a size to make every sieve walk, gap folds included, use windows of it."""
 
-    def walk_segments_of(size: int) -> None:
-        walker = functools.partial(sieve.iter_prime_segments, segment_size=size)
-        monkeypatch.setattr(gapstats, "iter_prime_segments", walker)
+    def walk_windows_of(size: int) -> None:
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
 
-    return walk_segments_of
+    return walk_windows_of
 
 
 @pytest.fixture(scope="session")

@@ -165,7 +165,8 @@ def test_moments_respects_rule_and_k_flags(tmp_path):
 def test_bad_moment_orders_are_usage_errors(capsys):
     assert main(["moments", "--limit", "1000", "--k", "a,b"]) == 2
     assert main(["moments", "--limit", "1000", "--k", "0"]) == 2
-    capsys.readouterr()
+    assert main(["moments", "--limit", "1000", "--k", "1,1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("k", ["170", "200"])

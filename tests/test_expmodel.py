@@ -298,6 +298,9 @@ def test_spacings_reproducible_by_seed():
     c = simulate_spacings(100, seed=4)
     assert np.array_equal(a.spacings, b.spacings)
     assert not np.array_equal(a.spacings, c.spacings)
+    for seed in (0, 1, 2, 12345):  # the bits of Exp(1) drawn through its scale parameter
+        draws = np.random.default_rng(seed).exponential(1.0, size=1000)
+        assert simulate_spacings(1000, seed).spacings.tobytes() == (draws / draws.sum()).tobytes()
 
 
 def test_uniform_spacings_shape():

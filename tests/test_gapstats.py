@@ -73,11 +73,11 @@ def test_gap_statistics_matches_naive_counts(rule, include_first):
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))
 @pytest.mark.parametrize("include_first", [True, False])
-def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, fold_segment_size):
+def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, segment_width):
     # limits off the 64-number segment grid, a repeat, and primes (131, 4099)
     # where the two rules differ; the sweep resumes at each limit.  3 and 4 end
     # at or below the start of a sweep without d_1
-    fold_segment_size(64)
+    segment_width(64)
     limits = [3, 4, 5, 100, 131, 131, 1000, 4099, 10**4]
     sweep = gap_statistics_at(limits, rule, include_first)
     for limit, acc in zip(limits, sweep, strict=True):
@@ -191,10 +191,10 @@ def test_an_over_cap_limit_is_named_as_the_caller_gave_it(rule, monkeypatch):
     cpus=st.sampled_from([1, 3]),
 )
 def test_sweep_equals_the_oracle_on_random_limits(
-    limits, rule, include_first, cpus, small_shares, fold_segment_size, monkeypatch
+    limits, rule, include_first, cpus, small_shares, segment_width, monkeypatch
 ):
     # 64-number segments: each range's look-back spans many of them
-    fold_segment_size(64)
+    segment_width(64)
     use_cpus(monkeypatch, cpus)
     sweep = gap_statistics_at(limits, rule, include_first)
     assert sweep == [oracle_accumulator(limit, rule, include_first) for limit in limits]
@@ -468,6 +468,40 @@ def test_moments_reduce_exactly_before_float_conversion():
     assert summary.variance == float(var)
     assert summary.taylor_ratio == float(var / Fraction(s1, n) ** 2)
     assert summary.taylor_ratio == pytest.approx(0.5654, abs=1e-3)
+
+
+def float_or_none(q: Fraction) -> float | None:
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.dictionaries(st.integers(1, 1550), st.integers(1, 2**40), min_size=1, max_size=8),
+    orders=st.lists(st.integers(0, 400), min_size=1, max_size=6),
+)
+def test_moments_are_exact_past_the_fixture(counts, orders):
+    # every float is the one float(Fraction) gives, up to the first order whose
+    # S_k/n overflows (gaps <= 1550, the largest known, overflow from k = 97 on)
+    n = sum(counts.values())
+    acc = GapAccumulator(1, n, Counter(counts))
+    sums = [sum(d**k * c for d, c in counts.items()) for k in range(401)]
+    exact = [float_or_none(Fraction(s, n)) for s in sums]
+    first_over = exact.index(None) if None in exact else 401
+    fine = sorted({1, first_over - 1, *(k for k in orders if k < first_over)})
+    summary = moments(acc, fine)
+    assert summary.moments == {k: exact[k] for k in fine}
+    s1, s2 = sums[1], sums[2]
+    assert summary.mean == float(Fraction(s1, n))
+    if n > 1:
+        var = Fraction(n * s2 - s1 * s1, n * (n - 1))
+        assert summary.variance == float(var)
+        assert summary.taylor_ratio == float(var / Fraction(s1, n) ** 2)
+    if first_over <= 400:
+        with pytest.raises(ValueError, match=rf"^gap moment S_k/n overflows a float at k={first_over}, n={n}$"):
+            moments(acc, [*fine, first_over])
 
 
 def test_moments_variance_undefined_below_two_gaps():

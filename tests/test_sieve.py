@@ -80,17 +80,25 @@ def test_a_window_at_2_40_sieves_its_base_in_at_most_two_calls(monkeypatch):
     assert len(limits) <= 2
 
 
-def test_segment_concatenation_is_complete(oracle_primes_1e6):
+def test_segment_concatenation_is_complete(oracle_primes_1e6, segment_width):
     # every hi <= 10^6, all segment sizes: concatenation == one-shot sieve
     for size in (64, 1000, 1 << 16, DEFAULT_SEGMENT_SIZE):
-        got = np.concatenate(
-            [seg.primes for seg in iter_prime_segments(10**6 + 1, size)]
-        )
+        segment_width(size)
+        got = np.concatenate([seg.primes for seg in iter_prime_segments(10**6 + 1)])
         assert got.tolist() == oracle_primes_1e6
 
 
-def test_segments_partition_the_range():
-    segs = list(iter_prime_segments(10**5, 1000))
+def test_segments_partition_the_range(segment_width):
+    # at the shipped constant every segment but the last is exactly as wide as
+    # the '#' header's segment_size= says
+    for lo in (2, 3, 2**40 + 5):
+        bound = lo + 2 * DEFAULT_SEGMENT_SIZE + 12345
+        segs = list(iter_prime_segments(bound, lo=lo))
+        assert (segs[0].lo, segs[-1].hi) == (lo, bound)
+        assert all(left.hi == right.lo for left, right in zip(segs, segs[1:]))
+        assert [seg.hi - seg.lo for seg in segs] == [DEFAULT_SEGMENT_SIZE] * 2 + [12345]
+    segment_width(1000)
+    segs = list(iter_prime_segments(10**5))
     assert segs[0].lo == 2
     assert segs[-1].hi == 10**5
     for left, right in zip(segs, segs[1:]):
@@ -160,13 +168,6 @@ def test_limit_cap_enforced():
         nth_prime(10**18)  # p_n lies past 2^63, a bound the walker refuses before sieving
 
 
-def test_segment_size_bounds_enforced():
-    with pytest.raises(ValueError):
-        list(iter_prime_segments(1000, 32))
-    with pytest.raises(ValueError):
-        list(iter_prime_segments(1000, MAX_SEGMENT_SIZE * 2))
-
-
 def test_prime_segment_arrays_are_frozen():
     seg = sieve_segment(2, 100, simple_sieve(10))
     with pytest.raises(ValueError):
@@ -197,8 +198,8 @@ def test_boundary_rules_differ_exactly_at_a_prime_limit():
 
 
 @pytest.mark.parametrize("size", [64, 1000, 1 << 16])
-def test_gap_events_independent_of_segment_size(size, acc_100k, fold_segment_size):
-    fold_segment_size(size)
+def test_gap_events_independent_of_segment_size(size, acc_100k, segment_width):
+    segment_width(size)
     got = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
     assert got == acc_100k
 
@@ -209,10 +210,10 @@ def test_gap_event_parity():
     assert all(d % 2 == 0 for d in acc.counts if d != 1)
 
 
-def test_gap_event_chain_coherence(oracle_primes_1e6, fold_segment_size):
+def test_gap_event_chain_coherence(oracle_primes_1e6, segment_width):
     # 64-number segments put over a thousand joins below 10^5; every
     # gap across a join must chain, so the gaps telescope to p_last - 2.
-    fold_segment_size(64)
+    segment_width(64)
     acc = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
     below = [p for p in oracle_primes_1e6 if p < 10**5]
     assert (acc.first_index, acc.last_index) == (1, len(below) - 1)
@@ -231,8 +232,9 @@ def test_gap_events_rejects_tiny_limit():
 
 
 @pytest.mark.parametrize("lo", [2, 3, 4, 1000, 99991, 99992])
-def test_segments_start_at_any_lo(lo, oracle_primes_1e6):
-    segs = list(iter_prime_segments(2 * 10**5 + 1, 1000, lo))
+def test_segments_start_at_any_lo(lo, oracle_primes_1e6, segment_width):
+    segment_width(1000)
+    segs = list(iter_prime_segments(2 * 10**5 + 1, lo=lo))
     assert segs[0].lo == lo
     got = np.concatenate([seg.primes for seg in segs])
     assert got.tolist() == [p for p in oracle_primes_1e6 if lo <= p <= 2 * 10**5]
