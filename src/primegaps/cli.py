@@ -75,11 +75,8 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _taus(args: argparse.Namespace, limits: list[int]) -> int:
-    hist = tau_histogram(limits[0])
-    if args.out is None:
-        sys.stdout.write(tauio.format_tau(hist))
-    else:
-        tauio.write_tau(args.out, hist)
+    with _output(args.out) as out:
+        out.write(tauio.format_tau(tau_histogram(limits[0])))
     return 0
 
 

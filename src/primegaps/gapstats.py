@@ -23,7 +23,8 @@ from itertools import pairwise
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit, iter_prime_segments
+from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit
+from .sieve import base_for, iter_prime_segments, sieve_segment
 
 __all__ = [
     "TauHistogram",
@@ -225,11 +226,11 @@ def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
     return list(acc.records)
 
 
-def _fold_range(lo: int, hi: int) -> GapAccumulator:
-    """The gaps whose upper prime lies in [lo, hi), indexed from 1.  The walk
-    starts _GAP_WINDOW before lo, so the last prime below lo is its first gap's lower end."""
+def _fold_range(lo: int, hi: int, base: np.ndarray) -> GapAccumulator:
+    """The gaps whose upper prime lies in [lo, hi), indexed from 1, over the sweep's base.  The
+    walk starts _GAP_WINDOW before lo, so the last prime below lo is its first gap's lower end."""
     total, prev = GapAccumulator(), None
-    for seg in iter_prime_segments(hi, lo=max(2, lo - _GAP_WINDOW)):
+    for seg in iter_prime_segments(max(2, lo - _GAP_WINDOW), hi, base):
         if seg.primes.size:  # chained to the last prime before the segment
             chain = seg.primes if prev is None else np.concatenate(([prev], seg.primes))
             prev = int(chain[-1])
@@ -238,18 +239,18 @@ def _fold_range(lo: int, hi: int) -> GapAccumulator:
     return total
 
 
-def _fold_child(share: list[tuple[int, int]], conn) -> None:
+def _fold_child(share: list[tuple[int, int]], base: np.ndarray, conn) -> None:
     """A forked child sends its share's folds, or the error that stopped them."""
     try:
-        conn.send([_fold_range(lo, hi) for lo, hi in share])
+        conn.send([_fold_range(lo, hi, base) for lo, hi in share])
     except Exception as exc:
         conn.send(exc)
 
 
-def _fold_shares(shares: list[list[tuple[int, int]]]) -> list[GapAccumulator]:
+def _fold_shares(shares: list[list[tuple[int, int]]], base: np.ndarray) -> list[GapAccumulator]:
     """Every share's folds in order, all but the first share's from forked children,
     unless a second thread is alive (a fork copies its locks as they are) or this
-    process is a daemon."""
+    process is a daemon.  A child reads the parent's base from the pages it shares."""
     children = []
     try:
         if len(shares) > 1 and threading.active_count() == 1:
@@ -259,11 +260,11 @@ def _fold_shares(shares: list[list[tuple[int, int]]]) -> list[GapAccumulator]:
                 for share in shares[1:]:
                     receiver, sender = context.Pipe(duplex=False)
                     with sender:
-                        child = context.Process(target=_fold_child, args=(share, sender))
+                        child = context.Process(target=_fold_child, args=(share, base, sender))
                         child.start()
                     children.append((child, receiver, share[0][0], share[-1][1]))
                 shares = shares[:1]
-        folds = [_fold_range(lo, hi) for share in shares for lo, hi in share]
+        folds = [_fold_range(lo, hi, base) for share in shares for lo, hi in share]
         for child, receiver, lo, hi in children:
             try:
                 result = receiver.recv()
@@ -295,8 +296,8 @@ def gap_statistics_at(
     fold.  One sweep from the start to the top bound is cut at every bound and at
     top * i // count for 0 < i < count, where the share count is at most one per
     usable CPU (as taskset sets them) and per _SHARE_FLOOR numbers; the shares
-    after the first fold in forked children.  Each range holds the gaps whose upper prime lies in it, so the stitch
-    only shifts its indices.
+    after the first fold in forked children, all over one base built for the top.
+    Each range holds the gaps whose upper prime lies in it, so the stitch only shifts its indices.
     """
     limits = list(limits)
     if any(limit < 3 for limit in limits):
@@ -311,7 +312,7 @@ def gap_statistics_at(
     ranges = list(pairwise(sorted({start, *bounds, *cuts})))
     shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([start, *cuts, top])]
     total, at = GapAccumulator(), {start: GapAccumulator()}
-    for (_, hi), acc in zip(ranges, _fold_shares(shares)):
+    for (_, hi), acc in zip(ranges, _fold_shares(shares, base_for(top))):
         if acc.n:  # its indices shift by the gaps before it, and by d_1 when that is left out
             shift = total.n + (not include_first)
             records = [MaxGapRecord(r.index + shift, r.gap, r.lower_prime) for r in acc.records]
@@ -349,8 +350,8 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     Only three primes count: the first after a, the last <= b and the
     next after b, each within _GAP_WINDOW of a or b.  When (a, b] and the
     window after b fit one segment they are sieved whole; otherwise only
-    _GAP_WINDOW past a and _GAP_WINDOW on each side of b.  b and
-    nextprime(b) must both lie in the supported range.
+    _GAP_WINDOW past a and _GAP_WINDOW on each side of b, one window each
+    over one base.  b and nextprime(b) must both lie in the supported range.
     """
     if not 2 < a < b:
         raise ValueError(f"need 2 < a < b, got ({a}, {b})")
@@ -359,7 +360,8 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     spans = [(a + 1, bound)]
     if bound - a > DEFAULT_SEGMENT_SIZE:
         spans = [(a + 1, a + 1 + _GAP_WINDOW), (b + 1 - _GAP_WINDOW, bound)]
-    primes = np.concatenate([seg.primes for lo, hi in spans for seg in iter_prime_segments(hi, lo=lo)])
+    base = base_for(bound)
+    primes = np.concatenate([sieve_segment(lo, hi, base).primes for lo, hi in spans])
     cut = int(np.searchsorted(primes, b, side="right"))
     if cut == primes.size:
         raise ValueError(f"no prime follows b = {b} below {bound}")

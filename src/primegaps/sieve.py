@@ -14,12 +14,12 @@ first odd multiple in the window, so a base prime inside the window
 strikes itself; one store after all marking restores those.  Past e^20,
 where under a tenth of the odd slots are prime, np.flatnonzero takes a
 slow loop: a tail of True slots lifts the mask past 0.1 and is cut off.
-iter_prime_segments walks any window [lo, bound) with the base primes
-<= isqrt(bound - 1) from simple_sieve, which starts from a read-only table
-of the primes <= isqrt(isqrt(2**63 - 1)) built once per process by the
-same kernel, so no sieve recurses more than one level.  Its windows are
-DEFAULT_SEGMENT_SIZE wide, which never changes a prime.  Gap statistics
-are folded from the segments' prime arrays in gapstats.
+Each query builds its base once, base_for(bound): the primes <= isqrt(bound - 1)
+from simple_sieve, which starts from a read-only table of the primes <=
+isqrt(isqrt(2**63 - 1)) built once per process by the same kernel, so no
+sieve recurses more than one level.  iter_prime_segments walks [lo, hi) over
+the base it is given in DEFAULT_SEGMENT_SIZE windows, which never changes a
+prime.  Gap statistics are folded from the segments' prime arrays in gapstats.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "MAX_SEGMENT_SIZE",
     "BoundaryRule",
     "PrimeSegment",
+    "base_for",
     "simple_sieve",
     "sieve_segment",
     "iter_prime_segments",
@@ -85,6 +86,12 @@ def _check_limit(x: int) -> None:
         raise ValueError(f"limit {x} exceeds supported range 2**63 - 1")
 
 
+def base_for(bound: int) -> np.ndarray:
+    """Every prime <= isqrt(bound - 1), the base of any window below bound, past 2**63 refused."""
+    _check_limit(bound - 1)
+    return simple_sieve(math.isqrt(max(bound - 1, 0)))
+
+
 @cache
 def _small_primes() -> np.ndarray:
     """Every prime <= _TABLE_LIMIT, read-only: each pass squares the reach of its base."""
@@ -99,19 +106,19 @@ def simple_sieve(limit: int) -> np.ndarray:
 
     Up to _TABLE_LIMIT this is a prefix of the table.  Above it the
     segments of iter_prime_segments past the table fill one array sized
-    by Dusart's bound on pi(limit); their base simple_sieve(isqrt(limit))
-    is the table or one walk over it, so the recursion is at most one
-    level deep.  Memory is about pi(limit) int64 values plus one mask.
+    by Dusart's bound on pi(limit); their base, built first, is the table
+    or one walk over it, so the recursion is at most one level deep.
+    Memory is about pi(limit) int64 values plus one mask.
     """
     table = _small_primes()
     if limit <= _TABLE_LIMIT:
         return table[: np.searchsorted(table, limit, side="right")].copy()
-    _check_limit(limit)
+    base = base_for(limit + 1)
     ln = math.log(limit)
     out = np.empty(int(limit / ln * (1 + 1.2762 / ln)) + 1, dtype=np.int64)
     n = table.size
     out[:n] = table
-    for seg in iter_prime_segments(limit + 1, lo=_TABLE_LIMIT + 1):
+    for seg in iter_prime_segments(_TABLE_LIMIT + 1, limit + 1, base):
         out[n : n + seg.primes.size] = seg.primes
         n += seg.primes.size
     out.resize(n, refcheck=False)
@@ -205,24 +212,18 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
     return PrimeSegment(lo=lo, hi=hi, primes=odds)
 
 
-def iter_prime_segments(bound: int, lo: int = 2) -> Iterator[PrimeSegment]:
-    """Yield consecutive PrimeSegments covering [lo, bound), DEFAULT_SEGMENT_SIZE wide but the last.
-
-    One base sieve up to isqrt(bound - 1) serves every segment.
-    """
-    if bound <= lo:
-        return
-    _check_limit(bound - 1)
-    base = simple_sieve(math.isqrt(bound - 1))
-    while lo < bound:
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, bound)
-        yield sieve_segment(lo, hi, base)
-        lo = hi
+def iter_prime_segments(lo: int, hi: int, base: np.ndarray) -> Iterator[PrimeSegment]:
+    """Yield consecutive PrimeSegments covering [lo, hi), DEFAULT_SEGMENT_SIZE wide but the last,
+    sieved with the caller's base: every prime <= isqrt(hi - 1), as base_for(hi) builds it."""
+    while lo < hi:
+        end = min(lo + DEFAULT_SEGMENT_SIZE, hi)
+        yield sieve_segment(lo, end, base)
+        lo = end
 
 
 def prime_count(x: int) -> int:
     """pi(x): number of primes <= x."""
-    return sum(seg.primes.size for seg in iter_prime_segments(x + 1))
+    return sum(seg.primes.size for seg in iter_prime_segments(2, x + 1, base_for(x + 1)))
 
 
 def nth_prime(n: int) -> int:
@@ -234,7 +235,7 @@ def nth_prime(n: int) -> int:
     ln = math.log(m)
     bound = int(m * (ln + math.log(ln))) + 1
     seen = 0
-    for seg in iter_prime_segments(bound + 1):
+    for seg in iter_prime_segments(2, bound + 1, base_for(bound + 1)):
         if seen + seg.primes.size >= n:
             return int(seg.primes[n - seen - 1])
         seen += seg.primes.size

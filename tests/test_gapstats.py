@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
@@ -107,15 +108,21 @@ def small_shares(monkeypatch):
 
 
 def sieved_widths(monkeypatch) -> list[int]:
-    """The width of every segment gapstats sieves in this process."""
-    widths, walk = [], gapstats.iter_prime_segments
+    """The width of every segment gapstats sieves in this process: each
+    segment of a sweep's walks and each of the bracket's windows."""
+    widths, walk, window = [], gapstats.iter_prime_segments, gapstats.sieve_segment
 
-    def counting_walk(bound, lo=2):
-        for seg in walk(bound, lo=lo):
+    def counting_walk(lo, hi, base):
+        for seg in walk(lo, hi, base):
             widths.append(seg.hi - seg.lo)
             yield seg
 
+    def counting_window(lo, hi, base):
+        widths.append(hi - lo)
+        return window(lo, hi, base)
+
     monkeypatch.setattr(gapstats, "iter_prime_segments", counting_walk)
+    monkeypatch.setattr(gapstats, "sieve_segment", counting_window)
     return widths
 
 
@@ -123,9 +130,9 @@ def folds_in_this_process(monkeypatch) -> list[tuple[int, int]]:
     """The ranges folded here; a forked child records its own in its copy."""
     folded, fold = [], gapstats._fold_range
 
-    def spy(lo, hi):
+    def spy(lo, hi, base):
         folded.append((lo, hi))
-        return fold(lo, hi)
+        return fold(lo, hi, base)
 
     monkeypatch.setattr(gapstats, "_fold_range", spy)
     return folded
@@ -156,13 +163,18 @@ def test_sweep_answers_limits_in_the_callers_order(rule, include_first, small_sh
         gap_statistics_at([1000, 2], rule, include_first)
 
 
-def no_fold(lo, hi):
+def no_fold(lo, hi, base):
     raise AssertionError(f"[{lo}, {hi}) folded before the range check")
+
+
+def no_base(bound):
+    raise AssertionError(f"base for {bound} built before the range check")
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_the_range_cap_is_checked_before_any_fold(cpus, monkeypatch):
     monkeypatch.setattr(gapstats, "_fold_range", no_fold)
+    monkeypatch.setattr(gapstats, "base_for", no_base)
     use_cpus(monkeypatch, cpus)
     with pytest.raises(ValueError, match="exceeds supported range"):
         gap_statistics(2**63 + 5)
@@ -175,12 +187,17 @@ def test_the_range_cap_is_checked_before_any_fold(cpus, monkeypatch):
 def test_an_over_cap_limit_is_named_as_the_caller_gave_it(rule, monkeypatch):
     # a STRICT limit sieves only below itself, yet the limit itself must lie in range
     monkeypatch.setattr(gapstats, "_fold_range", no_fold)
+    monkeypatch.setattr(gapstats, "base_for", no_base)
     use_cpus(monkeypatch, 1)
     for limit in (2**63, 2**63 + 5):
         with pytest.raises(ValueError, match=rf"^limit {limit} exceeds supported range 2\*\*63 - 1$"):
             gap_statistics_at([10**6, limit], rule)
-    with pytest.raises(AssertionError, match="folded"):  # 2^63 - 1 passes the check
+    # 2^63 - 1 passes the check; its real base, pi(2^31.5) primes, would not fit a unit test
+    bounds = []
+    monkeypatch.setattr(gapstats, "base_for", bounds.append)
+    with pytest.raises(AssertionError, match="folded"):
         gap_statistics(2**63 - 1, rule)
+    assert bounds == [2**63 - 1 if rule is BoundaryRule.STRICT else 2**63]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -224,6 +241,41 @@ def test_split_sweep_of_two_full_shares(monkeypatch):
     assert gap_statistics(2**25 + 1) == split
 
 
+def test_a_split_sweep_builds_its_base_in_the_parent_alone(small_shares, monkeypatch):
+    # three shares, two of them in children (as the split-sweep tests check),
+    # which read the parent's base: a child that built its own would fail its share
+    parent, build = os.getpid(), sieve.simple_sieve
+
+    def in_the_parent_only(limit):
+        if os.getpid() != parent:
+            raise AssertionError(f"a child built its own base to {limit}")
+        return build(limit)
+
+    monkeypatch.setattr(sieve, "simple_sieve", in_the_parent_only)
+    split = gap_statistics_at(SPLIT_LIMITS)
+    assert split == [oracle_accumulator(limit, BoundaryRule.STRICT, False) for limit in SPLIT_LIMITS]
+
+
+@pytest.mark.parametrize(
+    "query, bound",
+    [
+        (lambda: gap_statistics_at([1000, 6666, 20000]), 20000),
+        (lambda: interval_gap_bracket(2**32, 2**32 + 2**24), 2**32 + 2**24 + 1 + gapstats._GAP_WINDOW),
+        (lambda: sieve.prime_count(10**6), 10**6 + 1),
+    ],
+    ids=["sweep-of-three-ranges", "bracket-of-two-spans", "prime-count"],
+)
+def test_a_query_builds_one_base(query, bound, monkeypatch):
+    # every simple_sieve call, a base's own base included
+    limits, build = [], sieve.simple_sieve
+    monkeypatch.setattr(sieve, "simple_sieve", lambda limit: limits.append(limit) or build(limit))
+    query()
+    by_query = limits[:]
+    limits.clear()
+    sieve.simple_sieve(math.isqrt(bound - 1))  # one base for the query's top bound
+    assert by_query == limits
+
+
 def test_split_sweep_leaves_no_child(small_shares):
     list(gap_statistics_at(SPLIT_LIMITS))
     assert multiprocessing.active_children() == []
@@ -233,13 +285,13 @@ def test_split_sweep_leaves_no_child(small_shares):
 def test_a_failed_share_reaches_the_caller_and_leaves_no_child(where, small_shares, monkeypatch):
     parent, fold = os.getpid(), gapstats._fold_range
 
-    def fold_or_fail(lo, hi):
+    def fold_or_fail(lo, hi, base):
         here = "parent" if os.getpid() == parent else "child"
         if here == where:
             raise ArithmeticError(f"range from {lo} failed in the {here}")
         if here == "child":
             time.sleep(60)  # a failed parent stops its children, not waits for them
-        return fold(lo, hi)
+        return fold(lo, hi, base)
 
     monkeypatch.setattr(gapstats, "_fold_range", fold_or_fail)
     start = time.monotonic()
@@ -253,10 +305,10 @@ def killed_in_the_child(monkeypatch) -> None:
     """A child's fold SIGKILLs its own process, so the child sends nothing."""
     parent, fold = os.getpid(), gapstats._fold_range
 
-    def fold_or_die(lo, hi):
+    def fold_or_die(lo, hi, base):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return fold(lo, hi)
+        return fold(lo, hi, base)
 
     monkeypatch.setattr(gapstats, "_fold_range", fold_or_die)
 
@@ -601,27 +653,40 @@ def test_bracket_walks_past_b_once(monkeypatch):
         interval_gap_bracket(100, 113)
 
 
-def miller_rabin_segments(bound, lo=2):
-    """Stand-in for the sieve walker near 2^63, where a real base sieve
-    up to isqrt(2^63) would not fit a unit test: the primes of [lo, bound)
-    by Miller-Rabin, in one segment, under the walker's own range check."""
-    if bound - 1 > sieve.MAX_LIMIT:
-        raise ValueError(f"limit {bound - 1} exceeds supported range 2**63 - 1")
-    primes = [n for n in range(lo, bound) if oracles.is_prime_mr(n)]
-    yield sieve.PrimeSegment(lo, bound, np.array(primes, dtype=np.int64))
+def sieve_by_miller_rabin(monkeypatch) -> list[int]:
+    """Stand-ins for the bracket's base and windows near 2^63, where a real base
+    sieve up to isqrt(2^63) would not fit a unit test: the base keeps base_for's
+    own range check and records its bound, and each window holds the primes of
+    [lo, hi) by Miller-Rabin."""
+    bounds, stand_in = [], np.empty(0, dtype=np.int64)
+
+    def range_checked_base(bound):
+        sieve._check_limit(bound - 1)
+        bounds.append(bound)
+        return stand_in
+
+    def miller_rabin_window(lo, hi, base):
+        assert base is stand_in
+        primes = [n for n in range(lo, hi) if oracles.is_prime_mr(n)]
+        return sieve.PrimeSegment(lo, hi, np.array(primes, dtype=np.int64))
+
+    monkeypatch.setattr(gapstats, "base_for", range_checked_base)
+    monkeypatch.setattr(gapstats, "sieve_segment", miller_rabin_window)
+    return bounds
 
 
 def test_bracket_reaches_the_last_prime_of_the_range(monkeypatch):
     # 2^63 - 25 is the largest prime below 2^63; the window after b is
     # cut at 2^63 instead of running past the range
-    monkeypatch.setattr(gapstats, "iter_prime_segments", miller_rabin_segments)
+    bounds = sieve_by_miller_rabin(monkeypatch)
     a, b = 2**63 - 2000, 2**63 - 100
     assert oracles.next_prime(b) == 2**63 - 25
     assert interval_gap_bracket(a, b) == oracles.mr_bracket(a, b)
+    assert bounds == [2**63]
 
 
 def test_bracket_names_b_when_no_prime_follows_it_in_range(monkeypatch):
-    monkeypatch.setattr(gapstats, "iter_prime_segments", miller_rabin_segments)
+    sieve_by_miller_rabin(monkeypatch)
     b = 2**63 - 20
     with pytest.raises(ValueError, match=f"no prime follows b = {b}"):
         interval_gap_bracket(2**63 - 2000, b)

@@ -112,8 +112,8 @@ def test_table1_first_row():
 def test_table1_sieves_up_to_the_largest_limit_once(monkeypatch):
     sieved = []
 
-    def counting(bound, *args, **kwargs):
-        for seg in iter_prime_segments(bound, *args, **kwargs):
+    def counting(lo, hi, base):
+        for seg in iter_prime_segments(lo, hi, base):
             sieved.append(seg.hi - seg.lo)
             yield seg
 

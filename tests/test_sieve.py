@@ -28,6 +28,7 @@ from primegaps.sieve import (
     MAX_SEGMENT_SIZE,
     _TABLE_LIMIT,
     _start_indices,
+    base_for,
     iter_prime_segments,
 )
 
@@ -76,15 +77,19 @@ def test_a_window_at_2_40_sieves_its_base_in_at_most_two_calls(monkeypatch):
         return original(limit)
 
     monkeypatch.setattr(sieve, "simple_sieve", counted)
-    next(iter_prime_segments(2**40 + DEFAULT_SEGMENT_SIZE, lo=2**40))
-    assert len(limits) <= 2
+    hi = 2**40 + DEFAULT_SEGMENT_SIZE
+    base = base_for(hi)
+    sieved = len(limits)
+    assert sieved <= 2
+    next(iter_prime_segments(2**40, hi, base))
+    assert len(limits) == sieved  # the walker builds no base of its own
 
 
 def test_segment_concatenation_is_complete(oracle_primes_1e6, segment_width):
     # every hi <= 10^6, all segment sizes: concatenation == one-shot sieve
     for size in (64, 1000, 1 << 16, DEFAULT_SEGMENT_SIZE):
         segment_width(size)
-        got = np.concatenate([seg.primes for seg in iter_prime_segments(10**6 + 1)])
+        got = np.concatenate([seg.primes for seg in iter_prime_segments(2, 10**6 + 1, base_for(10**6 + 1))])
         assert got.tolist() == oracle_primes_1e6
 
 
@@ -93,12 +98,12 @@ def test_segments_partition_the_range(segment_width):
     # the '#' header's segment_size= says
     for lo in (2, 3, 2**40 + 5):
         bound = lo + 2 * DEFAULT_SEGMENT_SIZE + 12345
-        segs = list(iter_prime_segments(bound, lo=lo))
+        segs = list(iter_prime_segments(lo, bound, base_for(bound)))
         assert (segs[0].lo, segs[-1].hi) == (lo, bound)
         assert all(left.hi == right.lo for left, right in zip(segs, segs[1:]))
         assert [seg.hi - seg.lo for seg in segs] == [DEFAULT_SEGMENT_SIZE] * 2 + [12345]
     segment_width(1000)
-    segs = list(iter_prime_segments(10**5))
+    segs = list(iter_prime_segments(2, 10**5, base_for(10**5)))
     assert segs[0].lo == 2
     assert segs[-1].hi == 10**5
     for left, right in zip(segs, segs[1:]):
@@ -159,13 +164,17 @@ def test_sieve_segment_accepts_base_ending_before_composite_need():
     assert sieve_segment(2400, 2402, simple_sieve(47)).primes.size == 0
 
 
-def test_limit_cap_enforced():
-    with pytest.raises(ValueError):
+def test_limit_cap_enforced(monkeypatch):
+    def no_base(limit):
+        raise AssertionError(f"base to {limit} built before the range check")
+
+    monkeypatch.setattr(sieve, "simple_sieve", no_base)
+    with pytest.raises(ValueError, match=rf"^limit {MAX_LIMIT + 1} exceeds supported range"):
         simple_sieve(MAX_LIMIT + 1)
-    with pytest.raises(ValueError, match="exceeds supported range"):
+    with pytest.raises(ValueError, match=rf"^limit {2**63} exceeds supported range"):
         prime_count(2**63)
     with pytest.raises(ValueError, match="exceeds supported range"):
-        nth_prime(10**18)  # p_n lies past 2^63, a bound the walker refuses before sieving
+        nth_prime(10**18)  # p_n lies past 2^63, a bound refused before any base is built
 
 
 def test_prime_segment_arrays_are_frozen():
@@ -234,7 +243,7 @@ def test_gap_events_rejects_tiny_limit():
 @pytest.mark.parametrize("lo", [2, 3, 4, 1000, 99991, 99992])
 def test_segments_start_at_any_lo(lo, oracle_primes_1e6, segment_width):
     segment_width(1000)
-    segs = list(iter_prime_segments(2 * 10**5 + 1, lo=lo))
+    segs = list(iter_prime_segments(lo, 2 * 10**5 + 1, base_for(2 * 10**5 + 1)))
     assert segs[0].lo == lo
     got = np.concatenate([seg.primes for seg in segs])
     assert got.tolist() == [p for p in oracle_primes_1e6 if lo <= p <= 2 * 10**5]
