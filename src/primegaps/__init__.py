@@ -22,7 +22,6 @@ from .conjectures import (
 from .expmodel import (
     EULER_GAMMA,
     ExpParams,
-    SpacingsSample,
     exp_moment,
     large_dev_tail,
     max_order_cdf,

@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per reproducible artifact.
 
-Every sieving report runs through _run_report, which parses --limit and
-checks the budget once. `moments` is the moment figure and the only report
-with the moment flags; `figure-data` (alias `compare`) is the maximal-gap
-figure, one of the three record reports that share _records.
+`main` opens the one output (stdout or --out) for every subcommand. Each
+sieving report runs through _run_report, which parses --limit and checks
+the budget once. `moments` is the moment figure, the only report with the
+moment flags; `figure-data` (alias `compare`) is the maximal-gap figure,
+one of the three record reports that share _records.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
 3 refused because the estimated runtime exceeds the budget.
@@ -17,6 +18,7 @@ import io
 import math
 import os
 import sys
+from typing import TextIO
 
 from . import expmodel, reports, tauio
 from .gapstats import tau_histogram
@@ -65,50 +67,46 @@ def _output(path: str | None):
         fh.write(buffer.getvalue())
 
 
-def _run_report(args: argparse.Namespace) -> int:
+def _run_report(args: argparse.Namespace, out: TextIO) -> int:
     """Parse the limits (a comma list for table1 alone), refuse a run whose
-    largest limit is over budget, then hand the limits to args.report."""
+    largest limit is over budget, then hand out and the limits to args.report."""
     texts = args.limit.split(",") if args.report is _table1 else [args.limit]
     limits = [parse_limit(text) for text in texts]
     reports.check_budget(max(limits), args.budget_seconds, args.force)
-    return args.report(args, limits)
+    return args.report(args, out, limits)
 
 
-def _taus(args: argparse.Namespace, limits: list[int]) -> int:
-    with _output(args.out) as out:
-        out.write(tauio.format_tau(tau_histogram(limits[0])))
+def _taus(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
+    out.write(tauio.format_tau(tau_histogram(limits[0])))
     return 0
 
 
-def _moments(args: argparse.Namespace, limits: list[int]) -> int:
+def _moments(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
     config = RunConfig(
         limit=limits[0],
         rule=BoundaryRule(args.rule),
         include_first=args.include_first,
         ks=_parse_ks(args.k),
     )
-    with _output(args.out) as out:
-        reports.write_figure_moments(out, config)
+    reports.write_figure_moments(out, config)
     return 0
 
 
-def _records(args: argparse.Namespace, limits: list[int]) -> int:
+def _records(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
     """Sieve the record gaps G_n up to the limit and hand them to args.write."""
     records = reports.collect_records(limits[0], use_fixture=args.use_fixture)
     config = RunConfig(limit=limits[0], rule=BoundaryRule.STRICT, include_first=True)
-    with _output(args.out) as out:
-        args.write(out, records, config)
+    args.write(out, records, config)
     return 0
 
 
-def _verify_tau(args: argparse.Namespace, limits: list[int]) -> int:
+def _verify_tau(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
     result = tauio.verify_tau(args.reference, limits[0])
-    with _output(args.out) as out:
-        out.write(result.summary() + "\n")
+    out.write(result.summary() + "\n")
     return 0 if result.matches else 1
 
 
-def _cmd_expmodel(args: argparse.Namespace) -> int:
+def _cmd_expmodel(args: argparse.Namespace, out: TextIO) -> int:
     params = expmodel.ExpParams(n=args.n, rate=args.rate)
     lines = [
         f"n={params.n} rate={format(params.rate, '.6g')}",
@@ -121,20 +119,17 @@ def _cmd_expmodel(args: argparse.Namespace) -> int:
         lines.append(f"max_mean_asym={expmodel.max_order_mean_asym(params.n):.6g}")
         lines.append(f"max_var_asym={expmodel.max_order_var_asym(params.n):.6g}")
     if args.spacings:
-        sample = expmodel.simulate_spacings(args.spacings, args.seed)
+        spacings = expmodel.simulate_spacings(args.spacings, args.seed)
         lines.append(
-            f"spacings n={sample.n} seed={sample.seed} generator={sample.generator}"
-            f" sum={float(sample.spacings.sum()):.12f}"
+            f"spacings n={spacings.size} seed={args.seed} generator={expmodel.GENERATOR}"
+            f" sum={float(spacings.sum()):.12f}"
         )
-    with _output(args.out) as out:
-        out.write("\n".join(lines) + "\n")
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
-def _table1(args: argparse.Namespace, limits: list[int]) -> int:
-    rows = reports.table1_rows(limits)
-    with _output(args.out) as out:
-        reports.write_table1(out, rows)
+def _table1(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
+    reports.write_table1(out, reports.table1_rows(limits))
     return 0
 
 
@@ -201,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with _output(args.out) as out:
+            code = args.func(args, out)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -16,9 +16,9 @@ import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
+    "GENERATOR",
     "ZETA2",
     "ExpParams",
-    "SpacingsSample",
     "exp_moment",
     "order_stat_mean",
     "order_stat_var",
@@ -204,26 +204,12 @@ def large_dev_tail(a: float, rate: float, n: int) -> float:
     return math.exp(-exponent * n)
 
 
-_GENERATOR = "numpy-pcg64"
+# The bit generator behind np.random.default_rng, named in the expmodel report.
+GENERATOR = "numpy-pcg64"
 
 
-@dataclass(frozen=True)
-class SpacingsSample:
-    """Normalised spacings X_i / S_n; distributed like uniform spacings."""
-
-    n: int
-    spacings: np.ndarray
-    seed: int
-    generator: str = _GENERATOR
-
-    def __post_init__(self) -> None:
-        self.spacings.setflags(write=False)
-        if self.spacings.size != self.n:
-            raise ValueError("spacings length disagrees with n")
-
-
-def simulate_spacings(n: int, seed: int) -> SpacingsSample:
-    """Draw n iid Exp(1) values and normalise by their sum.
+def simulate_spacings(n: int, seed: int) -> np.ndarray:
+    """Draw n iid Exp(1) values and normalise by their sum; read-only.
 
     By the Sukhatme representation the result is distributed exactly
     like the n spacings of n - 1 iid uniform points on (0, 1).
@@ -233,7 +219,8 @@ def simulate_spacings(n: int, seed: int) -> SpacingsSample:
     rng = np.random.default_rng(seed)
     draws = rng.standard_exponential(n)
     draws /= draws.sum()
-    return SpacingsSample(n=n, spacings=draws, seed=seed)
+    draws.setflags(write=False)
+    return draws
 
 
 def simulate_uniform_spacings(n: int, seed: int) -> np.ndarray:

@@ -5,7 +5,7 @@ spots, maximal-gap records and their model columns, the first-moment
 sum identity, the variance-to-mean-squared trend, exponential order
 statistics, the twin-product constant, simulated spacings, the file
 formats, the power-sum form of the moment conjecture, and the shipped
-record table with its nearest squared-log curve.  Each check prints
+record table with its nearest model curve.  Each check prints
 exactly one verdict line on the real stdout (bypassing capture) so a
 plain ``pytest -v`` run shows them.
 """
@@ -291,7 +291,7 @@ def test_acceptance_09_spacings_and_tail(announce) -> None:
         n = 10**4
         exp_sample = simulate_spacings(n, seed=2026)
         uni_sample = simulate_uniform_spacings(n, seed=4052)
-        ks = stats.ks_2samp(exp_sample.spacings, uni_sample)
+        ks = stats.ks_2samp(exp_sample, uni_sample)
         critical = 1.6276 * math.sqrt(2.0 / n)
         assert ks.statistic < critical
         trials = 10**6
@@ -386,11 +386,24 @@ def test_acceptance_12_record_table_gaps_and_nearest_curve(announce) -> None:
             upper = r.lower_prime + r.gap
             assert oracles.is_prime_mr(r.lower_prime) and oracles.is_prime_mr(upper), r
             assert not any(oracles.is_prime_mr(m) for m in range(r.lower_prime + 2, upper, 2)), r
-        nearest = Counter(
-            min(_SQUARED_LOG_CURVES, key=lambda key: abs(row.observed - row.model_values[key]))
-            for row in compare_max_gaps(known)
-        )
-        assert nearest == {"cramer_shanks_n": 72, "granville_n": 5, "cramer_shanks_pn": 1, "granville_pn": 1}
-        return "79 rows are prime gaps of exactly G_n; (log n)^2 nearest in 72 of 79"
+        rows = compare_max_gaps(known)
 
-    _run(announce, 12, "shipped record table by Miller-Rabin, nearest squared-log curve", body)
+        def nearest(keys) -> Counter:
+            return Counter(
+                min(keys, key=lambda key: abs(row.observed - row.model_values[key])) for row in rows
+            )
+
+        assert nearest(_SQUARED_LOG_CURVES) == {
+            "cramer_shanks_n": 72, "granville_n": 5, "cramer_shanks_pn": 1, "granville_pn": 1
+        }
+        # against every model column Wolf's estimate is nearest, so the paper's
+        # "nearest (log n)^2" holds among the squared-log curves only
+        assert nearest(rows[0].model_values) == {
+            "wolf": 55, "cramer_shanks_n": 18, "granville_n": 4, "cramer_shanks_pn": 1, "kourbatov": 1
+        }
+        return (
+            "79 rows are prime gaps of exactly G_n; (log n)^2 nearest in 72 of 79 among the"
+            " squared-log curves, wolf nearest in 55 of 79 among all six columns"
+        )
+
+    _run(announce, 12, "shipped record table by Miller-Rabin, nearest model curve", body)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import primegaps
-from primegaps import read_tau, tau_histogram
+from primegaps import cli, read_tau, tau_histogram
 from primegaps.cli import main
 
 
@@ -228,11 +228,58 @@ def test_moments_below_two_gaps_writes_nothing(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_failed_run_leaves_an_existing_out_file_untouched(tmp_path):
-    path = tmp_path / "m.txt"
+FAILING_RUNS = [
+    ["taus", "--limit", "1000"],  # its tau_histogram is patched to raise
+    ["moments", "--limit", "7"],
+    ["maximal-gaps", "--limit", "3"],
+    ["verify-tau", "--reference", "{missing}", "--limit", "1000"],
+    ["expmodel", "--n", "0"],
+    ["table1", "--limit", "100000"],
+    ["table2", "--limit", "3"],
+    ["figure-data", "--limit", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", FAILING_RUNS, ids=lambda argv: argv[0])
+def test_failed_run_leaves_an_existing_out_file_untouched(argv, tmp_path, capsys, monkeypatch):
+    # every input here fails after main has opened the output
+    def fail(limit):
+        raise ValueError("histogram failed")
+
+    monkeypatch.setattr(cli, "tau_histogram", fail)
+    argv = [str(tmp_path / "missing.dat") if arg == "{missing}" else arg for arg in argv]
+    path = tmp_path / "report.txt"
     path.write_text("earlier report\n", encoding="ascii")
-    assert main(["moments", "--limit", "7", "--out", str(path)]) == 2
+    assert main(argv + ["--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
     assert path.read_text(encoding="ascii") == "earlier report\n"
+
+
+OUT_MATCHES_STDOUT = [
+    ["taus", "--limit", "2^15"],
+    ["moments", "--limit", "2^15"],
+    ["maximal-gaps", "--limit", "2^15"],
+    ["verify-tau", "--reference", "{tau}", "--limit", "2^15"],
+    ["expmodel", "--n", "1000", "--spacings", "1000"],
+    ["table1", "--limit", "2^10,2^15"],
+    ["table2", "--limit", "2^15"],
+    ["figure-data", "--limit", "2^15"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_MATCHES_STDOUT, ids=lambda argv: argv[0])
+def test_out_file_matches_stdout(argv, tmp_path, capsys):
+    tau = tmp_path / "tau.dat"
+    assert main(["taus", "--limit", "2^15", "--out", str(tau)]) == 0
+    argv = [str(tau) if arg == "{tau}" else arg for arg in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode("ascii")
 
 
 def test_table1_rejects_non_power_limits(capsys):
