@@ -108,16 +108,17 @@ def _verify_tau(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int
 
 def _cmd_expmodel(args: argparse.Namespace, out: TextIO) -> int:
     params = expmodel.ExpParams(n=args.n, rate=args.rate)
+    fmt = reports.format_value
     lines = [
-        f"n={params.n} rate={format(params.rate, '.6g')}",
-        f"max_mean_exact={expmodel.order_stat_mean(params.n, params.n, params.rate):.6g}",
-        f"max_var_exact={expmodel.order_stat_var(params.n, params.n, params.rate):.6g}",
-        f"min_quantile(q={args.q})={expmodel.min_order_quantile(args.q, params):.6g}",
-        f"max_quantile(q={args.q})={expmodel.max_order_quantile(args.q, params):.6g}",
+        f"n={params.n} rate={fmt(params.rate)}",
+        f"max_mean_exact={fmt(expmodel.order_stat_mean(params.n, params.n, params.rate))}",
+        f"max_var_exact={fmt(expmodel.order_stat_var(params.n, params.n, params.rate))}",
+        f"min_quantile(q={args.q})={fmt(expmodel.min_order_quantile(args.q, params))}",
+        f"max_quantile(q={args.q})={fmt(expmodel.max_order_quantile(args.q, params))}",
     ]
     if params.n > 1:
-        lines.append(f"max_mean_asym={expmodel.max_order_mean_asym(params.n):.6g}")
-        lines.append(f"max_var_asym={expmodel.max_order_var_asym(params.n):.6g}")
+        lines.append(f"max_mean_asym={fmt(expmodel.max_order_mean_asym(params.n))}")
+        lines.append(f"max_var_asym={fmt(expmodel.max_order_var_asym(params.n))}")
     if args.spacings:
         spacings = expmodel.simulate_spacings(args.spacings, args.seed)
         lines.append(

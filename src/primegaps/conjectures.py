@@ -181,11 +181,6 @@ def _max_gap_row(rec: MaxGapRecord) -> ComparisonRow:
     return ComparisonRow(rec.index, rec.lower_prime, float(rec.gap), models, exceeds_granville=exceeds)
 
 
-@cache
-def _fixture_rows() -> dict[MaxGapRecord, ComparisonRow]:
-    return {rec: _max_gap_row(rec) for rec in _fixture_records()}
-
-
 def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:
     """Record gaps against the conjectured curves on both scales.
 
@@ -198,7 +193,9 @@ def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:
 
 
 @cache
-def _fixture_records() -> tuple[MaxGapRecord, ...]:
+def _fixture_rows() -> dict[MaxGapRecord, ComparisonRow]:
+    """The shipped record table, parsed and checked once per process, each
+    record mapped to its comparison row in the table's order."""
     path = resources.files("primegaps").joinpath("data/max_gap_records.csv")
     with path.open("r", encoding="ascii") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
@@ -208,10 +205,9 @@ def _fixture_records() -> tuple[MaxGapRecord, ...]:
         )
     if any(a.index >= b.index or a.gap >= b.gap for a, b in zip(records, records[1:])):
         raise ValueError("record fixture: index and gap must strictly ascend")
-    return records
+    return {rec: _max_gap_row(rec) for rec in records}
 
 
 def known_max_gap_records() -> list[MaxGapRecord]:
-    """The shipped table of first-occurrence maximal gaps below 2^64, parsed
-    and checked once per process; each call gets a fresh list."""
-    return list(_fixture_records())
+    """The shipped table of first-occurrence maximal gaps below 2^64; each call gets a fresh list."""
+    return list(_fixture_rows())

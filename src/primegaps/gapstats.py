@@ -229,13 +229,12 @@ def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
 def _fold_range(lo: int, hi: int, base: np.ndarray) -> GapAccumulator:
     """The gaps whose upper prime lies in [lo, hi), indexed from 1, over the sweep's base.  The
     walk starts _GAP_WINDOW before lo, so the last prime below lo is its first gap's lower end."""
-    total, prev = GapAccumulator(), None
+    total, last = GapAccumulator(), np.empty(0, dtype=np.int64)
     for seg in iter_prime_segments(max(2, lo - _GAP_WINDOW), hi, base):
-        if seg.primes.size:  # chained to the last prime before the segment
-            chain = seg.primes if prev is None else np.concatenate(([prev], seg.primes))
-            prev = int(chain[-1])
-            chain = chain[max(1, int(np.searchsorted(chain, lo))) - 1 :]  # gaps ending at lo or later
-            total = merge(total, GapAccumulator.from_gap_arrays(total.n + 1, np.diff(chain), chain[:-1]))
+        chain = np.concatenate((last, seg.primes))  # led by the last prime before the segment, if any
+        last = chain[-1:].copy()
+        chain = chain[max(1, int(np.searchsorted(chain, lo))) - 1 :]  # gaps ending at lo or later
+        total = merge(total, GapAccumulator.from_gap_arrays(total.n + 1, np.diff(chain), chain[:-1]))
     return total
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "format_value",
     "estimate_seconds",
     "check_budget",
-    "Table1Row",
     "table1_rows",
     "write_table1",
     "table2_rows",
@@ -137,19 +136,11 @@ def check_budget(total_numbers: int, budget: float, force: bool) -> None:
         raise BudgetExceeded(estimate, budget)
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    t: int
-    n: int
-    mus: tuple[float, float, float, float]
-    max_gap: int
-
-
 _TABLE1_KS = (1, 2, 3, 4)  # ascending, the order of MomentSummary.moments
 
 
-def table1_rows(limits: list[int]) -> list[Table1Row]:
-    """Gap-count, first four moments and maximal gap per power-of-two limit.
+def table1_rows(limits: list[int]) -> list[tuple]:
+    """(t, n, mu_1, mu_2, mu_3, mu_4, G_n) per power-of-two limit.
 
     One sweep up to the largest limit serves every row, in the caller's order.
     """
@@ -158,21 +149,14 @@ def table1_rows(limits: list[int]) -> list[Table1Row]:
             raise ValueError(f"limit {limit} is not a power of two")
     sweep = gap_statistics_at(limits, BoundaryRule.STRICT, include_first=False)
     return [
-        Table1Row(
-            t=limit.bit_length() - 1,
-            n=acc.n,
-            mus=tuple(moments(acc, _TABLE1_KS).moments.values()),
-            max_gap=acc.overall_max,
-        )
+        (limit.bit_length() - 1, acc.n, *moments(acc, _TABLE1_KS).moments.values(), acc.overall_max)
         for limit, acc in zip(limits, sweep)
     ]
 
 
-def write_table1(out: TextIO, rows: list[Table1Row]) -> None:
-    config = RunConfig(1 << max(r.t for r in rows), BoundaryRule.STRICT, False, _TABLE1_KS)
-    header = ["t", "n", "mu_1", "mu_2", "mu_3", "mu_4", "G_n"]
-    data = [(r.t, r.n, *r.mus, r.max_gap) for r in rows]
-    _write_csv(out, config, header, data)
+def write_table1(out: TextIO, rows: list[tuple]) -> None:
+    config = RunConfig(1 << max(row[0] for row in rows), BoundaryRule.STRICT, False, _TABLE1_KS)
+    _write_csv(out, config, ["t", "n", "mu_1", "mu_2", "mu_3", "mu_4", "G_n"], rows)
 
 
 _FIGURE_MAXGAP_HEADER = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .gapstats import TauHistogram, tau_histogram
 
 __all__ = [
-    "TauFormatError", "TauDiff", "TauVerification",
+    "TauFormatError", "TauVerification",
     "format_tau", "write_tau", "read_tau", "verify_tau",
 ]
 
@@ -67,20 +67,14 @@ def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
 
 
 @dataclass(frozen=True)
-class TauDiff:
-    gap: int
-    reference: int
-    computed: int
-
-
-@dataclass(frozen=True)
 class TauVerification:
-    """Outcome of recomputing a tau file from scratch."""
+    """Outcome of recomputing a tau file from scratch: differences holds the
+    first (gap, reference, computed) count triples that disagree."""
 
     limit: int
     reference_total: int
     computed_total: int
-    differences: list[TauDiff]
+    differences: list[tuple[int, int, int]]
     truncated: bool
 
     @property
@@ -95,10 +89,8 @@ class TauVerification:
             f"{self.reference_total} gaps, recomputation {self.computed_total}"
         )
         lines = [head]
-        for diff in self.differences:
-            lines.append(
-                f"  gap {diff.gap}: reference {diff.reference}, computed {diff.computed}"
-            )
+        for gap, reference, computed in self.differences:
+            lines.append(f"  gap {gap}: reference {reference}, computed {computed}")
         if self.truncated:
             lines.append("  ... further differences suppressed")
         return "\n".join(lines)
@@ -116,7 +108,7 @@ def verify_tau(reference_path: str | os.PathLike, limit: int) -> TauVerification
         ref = reference.counts.get(gap, 0)
         got = computed.counts.get(gap, 0)
         if ref != got:
-            diffs.append(TauDiff(gap=gap, reference=ref, computed=got))
+            diffs.append((gap, ref, got))
     return TauVerification(
         limit=limit,
         reference_total=reference.total,

@@ -101,12 +101,12 @@ def test_acceptance_01_moment_table_rows(announce) -> None:
         rows = table1_rows([1 << t for t in _MOMENT_ROWS])
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0
-        assert [row.t for row in rows] == list(_MOMENT_ROWS)
-        for row in rows:
-            n, mus, max_gap = _MOMENT_ROWS[row.t]
-            assert row.n == n
-            assert row.max_gap == max_gap
-            for got, want in zip(row.mus, mus):
+        assert [row[0] for row in rows] == list(_MOMENT_ROWS)
+        for t, n, *mus, max_gap in rows:
+            want_n, want_mus, want_max_gap = _MOMENT_ROWS[t]
+            assert n == want_n
+            assert max_gap == want_max_gap
+            for got, want in zip(mus, want_mus, strict=True):
                 assert _rel(got, want) <= 2e-4
         return f"five limits, n and G exact, mu' within 2e-4, {elapsed:.2f}s"
 

@@ -11,6 +11,7 @@ import threading
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -215,6 +216,34 @@ def test_sweep_equals_the_oracle_on_random_limits(
     use_cpus(monkeypatch, cpus)
     sweep = gap_statistics_at(limits, rule, include_first)
     assert sweep == [oracle_accumulator(limit, rule, include_first) for limit in limits]
+
+
+def chain_reference(chain: list[int]) -> GapAccumulator:
+    """The gaps between consecutive primes of the chain, one at a time, indexed from 1."""
+    if len(chain) < 2:
+        return GapAccumulator()
+    return running_max_reference(1, [q - p for p, q in pairwise(chain)], chain[:-1])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lo=st.integers(2, 20000), span=st.integers(0, 3000), width=st.sampled_from([16, 64]))
+def test_a_range_fold_equals_the_oracle_across_empty_segments(lo, span, width, segment_width):
+    # many 16-number windows hold no prime, so the chain must carry its last prime past them
+    segment_width(width)
+    hi = lo + span
+    primes = oracles.naive_primes(hi - 1)
+    below = [p for p in primes if p < lo]
+    chain = below[-1:] + primes[len(below) :]  # the last prime below lo, then every prime in [lo, hi)
+    assert gapstats._fold_range(lo, hi, sieve.base_for(hi)) == chain_reference(chain)
+
+
+def test_a_range_fold_at_height_equals_miller_rabin(segment_width):
+    # 4096-number windows: the look-back and the range span five of them
+    segment_width(4096)
+    lo = 2**40 + 12345
+    hi = lo + 2**14
+    chain = [oracles.prev_prime(lo - 1)] + [n for n in range(lo | 1, hi, 2) if oracles.is_prime_mr(n)]
+    assert gapstats._fold_range(lo, hi, sieve.base_for(hi)) == chain_reference(chain)
 
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))

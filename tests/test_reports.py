@@ -17,7 +17,6 @@ from primegaps.reports import (
     DEFAULT_BUDGET_SECONDS,
     ESTIMATED_NUMBERS_PER_SECOND,
     RunConfig,
-    Table1Row,
     check_budget,
     collect_records,
     estimate_seconds,
@@ -103,10 +102,10 @@ def test_budget_guard():
 def test_table1_first_row():
     rows = table1_rows([1 << 15])
     assert len(rows) == 1
-    row = rows[0]
-    assert (row.t, row.n, row.max_gap) == (15, 3510, 72)
-    assert row.mus[0] == pytest.approx(9.3293, abs=1e-4)
-    assert row.mus[3] == pytest.approx(7.4292e4, rel=2e-4)
+    t, n, mu_1, _, _, mu_4, max_gap = rows[0]
+    assert (t, n, max_gap) == (15, 3510, 72)
+    assert mu_1 == pytest.approx(9.3293, abs=1e-4)
+    assert mu_4 == pytest.approx(7.4292e4, rel=2e-4)
 
 
 def test_table1_sieves_up_to_the_largest_limit_once(monkeypatch):
@@ -119,7 +118,7 @@ def test_table1_sieves_up_to_the_largest_limit_once(monkeypatch):
 
     monkeypatch.setattr(gapstats, "iter_prime_segments", counting)
     rows = table1_rows([1 << 10, 1 << 15, 1 << 20])
-    assert [row.t for row in rows] == [10, 15, 20]
+    assert [row[0] for row in rows] == [10, 15, 20]
     # each range [lo, hi) sieves [max(2, lo - W), hi): [2, 2^20) once, [2, 2^10)
     # again under the second range's look-back and W numbers under the third's
     assert sum(sieved) == (1 << 20) - 2 + (1 << 10) - 2 + gapstats._GAP_WINDOW
@@ -137,7 +136,7 @@ def write_to_string(writer, *args) -> list[str]:
 
 
 def test_write_table1_layout():
-    rows = [Table1Row(t=15, n=3510, mus=(9.3293, 136.2017, 2781.8, 74291.9), max_gap=72)]
+    rows = [(15, 3510, 9.3293, 136.2017, 2781.8, 74291.9, 72)]
     lines = write_to_string(write_table1, rows)
     assert lines[0].startswith("# limit=32768 rule=strict include_first=false")
     assert lines[1] == "t,n,mu_1,mu_2,mu_3,mu_4,G_n"

@@ -114,9 +114,9 @@ def test_verify_names_a_perturbed_gap(tmp_path):
     result = verify_tau(path, 10**4)
     assert not result.matches
     assert len(result.differences) == 1
-    diff = result.differences[0]
-    assert diff.gap == 10
-    assert diff.reference == diff.computed + 1
+    gap, reference, computed = result.differences[0]
+    assert gap == 10
+    assert reference == computed + 1
     assert "gap 10" in result.summary()
     assert "MISMATCH" in result.summary()
 
