@@ -22,7 +22,7 @@ from typing import TextIO
 
 from . import expmodel, reports, tauio
 from .gapstats import tau_histogram
-from .reports import BudgetExceeded, DEFAULT_BUDGET_SECONDS, RunConfig, parse_limit
+from .reports import BudgetExceeded, DEFAULT_BUDGET_SECONDS, parse_limit
 from .sieve import BoundaryRule
 
 __all__ = ["main"]
@@ -82,21 +82,14 @@ def _taus(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
 
 
 def _moments(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
-    config = RunConfig(
-        limit=limits[0],
-        rule=BoundaryRule(args.rule),
-        include_first=args.include_first,
-        ks=_parse_ks(args.k),
-    )
-    reports.write_figure_moments(out, config)
+    ks = _parse_ks(args.k)
+    reports.write_figure_moments(out, limits[0], BoundaryRule(args.rule), args.include_first, ks)
     return 0
 
 
 def _records(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
     """Sieve the record gaps G_n up to the limit and hand them to args.write."""
-    records = reports.collect_records(limits[0], use_fixture=args.use_fixture)
-    config = RunConfig(limit=limits[0], rule=BoundaryRule.STRICT, include_first=True)
-    args.write(out, records, config)
+    args.write(out, reports.collect_records(limits[0], use_fixture=args.use_fixture), limits[0])
     return 0
 
 

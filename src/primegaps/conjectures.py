@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -122,49 +122,31 @@ def _kourbatov_raw(p: float) -> float:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """Observed value against one or more model curves.
+    """A record gap G_n against the maximal-gap curves.
 
-    model_values is read-only, as rows may be shared; ratios derives observed/model
-    per key (nan where the model vanishes or is undefined).  exceeds_granville is
-    set on maximal-gap rows: G_n > 2 e^-gamma (log n)^2, trivially true at n = 1.
+    model_values is read-only, as fixture rows are shared; exceeds_granville
+    is G_n > 2 e^-gamma (log n)^2, trivially true at n = 1.
     """
 
     n: int
-    x_or_pn: int
-    observed: float
+    p_n: int
+    observed: int
     model_values: Mapping[str, float]
-    k: int | None = None
-    exceeds_granville: bool | None = None
+    exceeds_granville: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model_values", MappingProxyType(dict(self.model_values)))
 
-    @property
-    def ratios(self) -> dict[str, float]:
-        return {
-            key: self.observed / model if math.isfinite(model) and model > 0 else math.nan
-            for key, model in self.model_values.items()
-        }
 
-
-def compare_moments(summary: MomentSummary, ks: list[int]) -> list[ComparisonRow]:
-    """One row per order k: observed mu'_k against k! (log n)^k, n = summary.n."""
+def compare_moments(summary: MomentSummary, ks: Iterable[int]) -> list[tuple]:
+    """(n, k, mu'_k, k! (log n)^k, ratio) per order k, n = summary.n."""
     n = summary.n
     rows = []
     for k in ks:
         if k not in summary.moments:
             raise ValueError(f"summary lacks moment order {k}")
-        observed = summary.moments[k]
-        model = exp_moment_model(n, k)
-        rows.append(
-            ComparisonRow(
-                n=n,
-                x_or_pn=n,
-                observed=observed,
-                model_values={"exp_moment": model},
-                k=k,
-            )
-        )
+        observed, model = summary.moments[k], exp_moment_model(n, k)
+        rows.append((n, k, observed, model, observed / model))
     return rows
 
 
@@ -177,8 +159,7 @@ def _max_gap_row(rec: MaxGapRecord) -> ComparisonRow:
         "wolf": wolf_max_gap_at_index(rec.lower_prime, rec.index),
         "kourbatov": _kourbatov_raw(rec.lower_prime),
     }
-    exceeds = rec.gap > models["granville_n"]
-    return ComparisonRow(rec.index, rec.lower_prime, float(rec.gap), models, exceeds_granville=exceeds)
+    return ComparisonRow(rec.index, rec.lower_prime, rec.gap, models, rec.gap > models["granville_n"])
 
 
 def compare_max_gaps(records: list[MaxGapRecord]) -> list[ComparisonRow]:

@@ -41,6 +41,11 @@ ZETA2 = math.pi**2 / 6
 _HEAD = 64
 
 
+def _check_n(n: int) -> None:
+    if not 1 <= n <= 2**63 - 1:  # the range the sums are exact over
+        raise ValueError(f"sample size {n} outside 1..2**63 - 1")
+
+
 def _check_rate(rate: float) -> None:
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate {rate} must be finite and positive")
@@ -54,8 +59,7 @@ class ExpParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"sample size {self.n} must be >= 1")
+        _check_n(self.n)
         _check_rate(self.rate)
 
 
@@ -99,6 +103,7 @@ def _recip_sum(lo: int, hi: int, power: int) -> float:
 
 
 def _check_order(i: int, n: int) -> None:
+    _check_n(n)
     if not 1 <= i <= n:
         raise ValueError(f"order statistic index {i} outside 1..{n}")
 

@@ -1,15 +1,14 @@
 """Report generation: limit parsing, CSV tables and the runtime budget.
 
-Every report starts with a "#"-prefixed comment line recording the run
-configuration, followed by a CSV header and data rows; the moment figure
-puts a second "#" line (mean, variance, taylor_ratio) before its header.
-Floats print with six significant digits; integers print in full.
+Every report is row tuples in column order under one "#" line that records
+the run's configuration, then a CSV header; the moment figure puts a second
+"#" line (mean, variance, taylor_ratio) before its header.  Floats print
+with six significant digits; integers print in full.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TextIO
 
 from . import conjectures
@@ -24,7 +23,6 @@ from .gapstats import (
 from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule, _check_limit
 
 __all__ = [
-    "RunConfig",
     "BudgetExceeded",
     "parse_limit",
     "format_value",
@@ -40,7 +38,7 @@ __all__ = [
     "collect_records",
 ]
 
-_LIMIT_RE = re.compile(r"^(?:(\d+)|2\^(\d+))$")
+_LIMIT_RE = re.compile(r"^(?:(\d+)|2\^(\d+))$", re.ASCII)  # no fullwidth or Arabic-Indic digits
 
 
 def parse_limit(text: str) -> int:
@@ -65,31 +63,6 @@ def parse_limit(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The inputs that determine a run's output, echoed into every report.
-
-    The header also names the sieve's fixed segment size; it is a
-    detail of the sieve that never changes a reported number.
-    """
-
-    limit: int
-    rule: BoundaryRule
-    include_first: bool
-    ks: tuple[int, ...] = ()
-
-    def header(self) -> str:
-        parts = [
-            f"limit={self.limit}",
-            f"rule={self.rule.value}",
-            f"include_first={format_value(self.include_first)}",
-        ]
-        if self.ks:
-            parts.append("ks=" + ",".join(str(k) for k in self.ks))
-        parts.append(f"segment_size={DEFAULT_SEGMENT_SIZE}")
-        return "# " + " ".join(parts)
-
-
 def format_value(value: object) -> str:
     """Six significant digits for floats, full precision for integers."""
     if isinstance(value, bool):
@@ -101,9 +74,21 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def _write_csv(out: TextIO, config: RunConfig, header: list[str], rows: list[tuple], *notes: str) -> None:
-    out.write(config.header() + "\n")
-    for note in notes:
+def _config(limit: int, rule: BoundaryRule, include_first: bool, ks: tuple[int, ...] = ()) -> str:
+    """The inputs that determine a report's numbers, for its first "#" line.
+
+    It also names the sieve's fixed segment size, a detail of the sieve
+    that never changes a reported number.
+    """
+    ks_part = " ks=" + ",".join(map(str, ks)) if ks else ""
+    return (
+        f"limit={limit} rule={rule.value} include_first={format_value(include_first)}"
+        f"{ks_part} segment_size={DEFAULT_SEGMENT_SIZE}"
+    )
+
+
+def _write_csv(out: TextIO, config: str, header: list[str], rows: list[tuple], *notes: str) -> None:
+    for note in (config, *notes):
         out.write(f"# {note}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
@@ -155,9 +140,12 @@ def table1_rows(limits: list[int]) -> list[tuple]:
 
 
 def write_table1(out: TextIO, rows: list[tuple]) -> None:
-    config = RunConfig(1 << max(row[0] for row in rows), BoundaryRule.STRICT, False, _TABLE1_KS)
+    config = _config(1 << max(row[0] for row in rows), BoundaryRule.STRICT, False, _TABLE1_KS)
     _write_csv(out, config, ["t", "n", "mu_1", "mu_2", "mu_3", "mu_4", "G_n"], rows)
 
+
+# The record reports sieve under the strict rule with d_1 = 1 included, so G_1 = 1.
+_RECORDS = (BoundaryRule.STRICT, True)
 
 _FIGURE_MAXGAP_HEADER = [
     "n",
@@ -177,7 +165,7 @@ _TABLE2_HEADER = _FIGURE_MAXGAP_HEADER[:7]
 def _maxgap_rows(records: list[MaxGapRecord]) -> list[tuple]:
     """One row per record in _FIGURE_MAXGAP_HEADER order, the models as compare_max_gaps lists them."""
     return [
-        (row.n, int(row.observed), row.x_or_pn, *row.model_values.values(), bool(row.exceeds_granville))
+        (row.n, row.observed, row.p_n, *row.model_values.values(), row.exceeds_granville)
         for row in compare_max_gaps(records)
     ]
 
@@ -188,15 +176,14 @@ def table2_rows(records: list[MaxGapRecord]) -> list[tuple]:
     return [row[:width] for row in _maxgap_rows(records) if row[-1]]
 
 
-def write_table2(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
-    _write_csv(out, config, _TABLE2_HEADER, table2_rows(records))
+def write_table2(out: TextIO, records: list[MaxGapRecord], limit: int) -> None:
+    _write_csv(out, _config(limit, *_RECORDS), _TABLE2_HEADER, table2_rows(records))
 
 
 def collect_records(limit: int, use_fixture: bool = False) -> list[MaxGapRecord]:
     """Sieved records up to the limit, optionally extended by the shipped
     table for records whose p_n lies beyond sieving range."""
-    acc = gap_statistics(limit, BoundaryRule.STRICT, include_first=True)
-    records = max_gap_records(acc)
+    records = max_gap_records(gap_statistics(limit, *_RECORDS))
     if use_fixture:  # the fixture's gaps ascend, so this is merge's maxima filter
         known = conjectures.known_max_gap_records()
         best = records[-1].gap
@@ -204,31 +191,28 @@ def collect_records(limit: int, use_fixture: bool = False) -> list[MaxGapRecord]
     return records
 
 
-def write_records(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
-    header = ["n", "G_n", "p_n"]
+def write_records(out: TextIO, records: list[MaxGapRecord], limit: int) -> None:
     rows = [(r.index, r.gap, r.lower_prime) for r in records]
-    _write_csv(out, config, header, rows)
+    _write_csv(out, _config(limit, *_RECORDS), ["n", "G_n", "p_n"], rows)
 
 
-def write_figure_moments(out: TextIO, config: RunConfig) -> None:
+def write_figure_moments(
+    out: TextIO, limit: int, rule: BoundaryRule, include_first: bool, ks: tuple[int, ...]
+) -> None:
     """Observed moments against k! (log n)^k at one limit.
 
     Every row is computed before the first write, so a limit too small
     for the model raises with nothing written.
     """
-    acc = gap_statistics(config.limit, config.rule, config.include_first)
-    summary = moments(acc, list(config.ks))
-    rows = [
-        (row.n, row.k, row.observed, row.model_values["exp_moment"], row.ratios["exp_moment"])
-        for row in compare_moments(summary, list(config.ks))
-    ]
+    summary = moments(gap_statistics(limit, rule, include_first), ks)
+    config = _config(limit, rule, include_first, ks)
     note = (
         f"mean={format_value(summary.mean)}"
         f" variance={format_value(summary.variance)}"
         f" taylor_ratio={format_value(summary.taylor_ratio)}"
     )
-    _write_csv(out, config, ["n", "k", "observed", "model", "ratio"], rows, note)
+    _write_csv(out, config, ["n", "k", "observed", "model", "ratio"], compare_moments(summary, ks), note)
 
 
-def write_figure_maxgaps(out: TextIO, records: list[MaxGapRecord], config: RunConfig) -> None:
-    _write_csv(out, config, _FIGURE_MAXGAP_HEADER, _maxgap_rows(records))
+def write_figure_maxgaps(out: TextIO, records: list[MaxGapRecord], limit: int) -> None:
+    _write_csv(out, _config(limit, *_RECORDS), _FIGURE_MAXGAP_HEADER, _maxgap_rows(records))

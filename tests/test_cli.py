@@ -198,6 +198,23 @@ def test_expmodel_rates_outside_float_range_are_usage_errors(rate, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expmodel", "--n", str(10**400)],
+        ["expmodel", "--n", str(2**63)],
+        ["moments", "--limit", "\uff11\uff10\uff10\uff10"],
+    ],
+    ids=["expmodel-n-1e400", "expmodel-n-2^63", "moments-fullwidth-digits"],
+)
+def test_inputs_outside_the_advertised_range_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_maximal_gaps_report(tmp_path):
     path = tmp_path / "records.csv"
     assert main(["maximal-gaps", "--limit", "10000", "--out", str(path)]) == 0

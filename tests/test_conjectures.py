@@ -129,16 +129,14 @@ def test_compare_moments_rows():
     acc = gap_statistics(1 << 15, BoundaryRule.STRICT, include_first=False)
     summary = moments(acc, [0, 1, 2, 3, 4])
     rows = compare_moments(summary, [0, 1, 2, 3, 4])
-    assert [row.k for row in rows] == [0, 1, 2, 3, 4]
-    by_k = {row.k: row for row in rows}
-    assert by_k[0].observed == 1.0
-    assert by_k[0].model_values["exp_moment"] == 1.0
-    assert by_k[1].ratios["exp_moment"] == pytest.approx(1.1428, abs=1e-3)
-    for row in rows:
-        assert row.n == summary.n
-        assert row.ratios["exp_moment"] == pytest.approx(
-            row.observed / row.model_values["exp_moment"], rel=1e-15
-        )
+    assert [k for _, k, _, _, _ in rows] == [0, 1, 2, 3, 4]
+    by_k = {k: (observed, model, ratio) for _, k, observed, model, ratio in rows}
+    assert by_k[0][0] == 1.0
+    assert by_k[0][1] == 1.0
+    assert by_k[1][2] == pytest.approx(1.1428, abs=1e-3)
+    for n, _, observed, model, ratio in rows:
+        assert n == summary.n
+        assert ratio == pytest.approx(observed / model, rel=1e-15)
 
 
 def test_compare_moments_rejects_mismatched_inputs():
@@ -164,16 +162,13 @@ def test_compare_max_gaps_columns_and_flags():
     }
     for row in rows:
         assert set(row.model_values) == keys
-        assert set(row.ratios) == keys
+        assert row.exceeds_granville is (row.observed > row.model_values["granville_n"])
     first = rows[0]
     # n = 1: both log-squared models vanish on the n scale, wolf is undefined
     assert first.model_values["granville_n"] == 0.0
     assert math.isnan(first.model_values["wolf"])
-    assert math.isnan(first.ratios["granville_n"])
-    assert math.isnan(first.ratios["wolf"])
-    # kourbatov's polynomial is negative at p = 2 and its ratio suppressed
+    # kourbatov's polynomial is negative at p = 2
     assert first.model_values["kourbatov"] < 0
-    assert math.isnan(first.ratios["kourbatov"])
     row30 = next(row for row in rows if row.n == 30)
     assert row30.model_values["cramer_shanks_n"] == pytest.approx(11.5681, abs=1e-4)
     assert row30.model_values["cramer_shanks_pn"] == pytest.approx(22.3482, abs=1e-4)
@@ -188,11 +183,11 @@ def test_fixture_rows_are_built_once_and_read_only():
         rows[0].model_values["wolf"] = 0.0
     summary = moments(gap_statistics(1000), [1])
     with pytest.raises(TypeError):
-        compare_moments(summary, [1])[0].model_values["exp_moment"] = 0.0
+        compare_moments(summary, [1])[0][3] = 0.0
     # a record outside the table gets its own row
     (row,) = compare_max_gaps([MaxGapRecord(index=5, gap=4, lower_prime=11)])
     assert row.model_values["cramer_shanks_pn"] == math.log(11) ** 2
-    assert row.ratios["cramer_shanks_n"] == 4 / math.log(5) ** 2
+    assert row.observed / row.model_values["cramer_shanks_n"] == 4 / math.log(5) ** 2
 
 
 def test_shipped_record_table_shape():

@@ -78,6 +78,12 @@ def test_order_stat_bounds_checked():
         order_stat_mean(6, 5, 1.0)
     with pytest.raises(ValueError):
         order_stat_var(1, 0, 1.0)
+    # the sums are exact up to n = 2^63 - 1; past it they would overflow a float
+    for n in (2**63, 10**400):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            order_stat_mean(1, n, 1.0)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            order_stat_var(n, n, 1.0)
 
 
 def test_spacing_telescoping():
@@ -242,6 +248,10 @@ def test_quantile_rejects_degenerate_probabilities():
 def test_exp_params_validation():
     with pytest.raises(ValueError):
         ExpParams(n=0, rate=1.0)
+    assert ExpParams(n=2**63 - 1, rate=1.0).n == 2**63 - 1
+    for n in (2**63, 10**400):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            ExpParams(n=n, rate=1.0)
     with pytest.raises(ValueError):
         ExpParams(n=5, rate=0.0)
     with pytest.raises(ValueError):

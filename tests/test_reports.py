@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegaps import BoundaryRule, gapstats, known_max_gap_records, parse_limit
-from primegaps.conjectures import compare_max_gaps
+from primegaps import BoundaryRule, gapstats, known_max_gap_records, moments, parse_limit
+from primegaps.conjectures import compare_max_gaps, compare_moments
 from primegaps.reports import (
     _FIGURE_MAXGAP_HEADER,
     BudgetExceeded,
     DEFAULT_BUDGET_SECONDS,
     ESTIMATED_NUMBERS_PER_SECOND,
-    RunConfig,
+    _config,
     check_budget,
     collect_records,
     estimate_seconds,
@@ -56,7 +56,8 @@ def test_parse_limit_decimal_reaches_the_caret_cap():
 
 @pytest.mark.parametrize(
     "text",
-    ["2^64", "2^0", "2^-1", "2", "1", "0", "junk", "", "3.5", "0x10", "2 ^ 15", "2^^15"],
+    ["2^64", "2^0", "2^-1", "2", "1", "0", "junk", "", "3.5", "0x10", "2 ^ 15", "2^^15",
+     "\uff11\uff10\uff10\uff10", "2^\u0663"],
 )
 def test_parse_limit_rejects_bad_input(text):
     with pytest.raises(ValueError):
@@ -73,19 +74,13 @@ def test_format_value_rules():
 
 
 def test_run_config_header_contents():
-    config = RunConfig(
-        limit=1 << 20,
-        rule=BoundaryRule.STRICT,
-        include_first=False,
-        ks=(1, 2),
+    # _write_csv writes it as the report's first line, after "# "
+    assert _config(1 << 20, BoundaryRule.STRICT, False, (1, 2)) == (
+        "limit=1048576 rule=strict include_first=false ks=1,2 segment_size=1048576"
     )
-    assert config.header() == (
-        "# limit=1048576 rule=strict include_first=false ks=1,2 segment_size=1048576"
-    )
-    bare = RunConfig(limit=100, rule=BoundaryRule.INCLUSIVE, include_first=True)
-    header = bare.header()
-    assert header.startswith("# limit=100 rule=inclusive include_first=true")
-    assert "ks=" not in header
+    bare = _config(100, BoundaryRule.INCLUSIVE, True)
+    assert bare.startswith("limit=100 rule=inclusive include_first=true")
+    assert "ks=" not in bare
 
 
 def test_budget_guard():
@@ -155,8 +150,7 @@ def test_table2_is_the_flagged_subset():
 
 
 def test_write_table2_layout():
-    config = RunConfig(limit=10**4, rule=BoundaryRule.STRICT, include_first=True)
-    lines = write_to_string(write_table2, known_max_gap_records()[:11], config)
+    lines = write_to_string(write_table2, known_max_gap_records()[:11], 10**4)
     assert lines[1] == "n,G_n,p_n,log_n_sq,log_pn_sq,granville_n,granville_pn"
     assert lines[2] == "1,1,2,0,0.480453,0,0.53951"
 
@@ -168,9 +162,8 @@ def test_collect_records_prefix_and_fixture_join():
 
 
 def test_write_records_layout():
-    config = RunConfig(limit=10**4, rule=BoundaryRule.STRICT, include_first=True)
-    lines = write_to_string(write_records, collect_records(10**4), config)
-    assert lines[0].startswith("#")
+    lines = write_to_string(write_records, collect_records(10**4), 10**4)
+    assert lines[0].startswith("# limit=10000 rule=strict include_first=true")
     assert lines[1] == "n,G_n,p_n"
     assert lines[2] == "1,1,2"
     assert lines[-1] == "1183,36,9551"
@@ -178,12 +171,7 @@ def test_write_records_layout():
 
 
 def test_write_figure_moments_layout():
-    config = RunConfig(
-        limit=1 << 15, rule=BoundaryRule.STRICT, include_first=False, ks=(1, 2, 3, 4)
-    )
-    out = io.StringIO()
-    write_figure_moments(out, config)
-    lines = out.getvalue().splitlines()
+    lines = write_to_string(write_figure_moments, 1 << 15, BoundaryRule.STRICT, False, (1, 2, 3, 4))
     assert lines[0].startswith("# limit=32768")
     assert lines[1].startswith("# mean=9.32934 variance=")
     assert "taylor_ratio=0.565038" in lines[1]
@@ -197,9 +185,17 @@ def test_write_figure_moments_layout():
     assert float(k1[4]) == pytest.approx(1.1428, abs=1e-3)
 
 
+def test_figure_moments_data_lines_are_the_compare_moments_rows():
+    ks = (3, 1, 12)
+    lines = write_to_string(write_figure_moments, 10**5, BoundaryRule.INCLUSIVE, True, ks)
+    acc = gapstats.gap_statistics(10**5, BoundaryRule.INCLUSIVE, include_first=True)
+    rows = compare_moments(moments(acc, ks), ks)
+    assert [row[1] for row in rows] == [3, 1, 12]
+    assert lines[3:] == [",".join(format_value(v) for v in row) for row in rows]
+
+
 def test_write_figure_maxgaps_layout():
-    config = RunConfig(limit=10**4, rule=BoundaryRule.STRICT, include_first=True)
-    lines = write_to_string(write_figure_maxgaps, collect_records(10**4), config)
+    lines = write_to_string(write_figure_maxgaps, collect_records(10**4), 10**4)
     assert lines[1] == (
         "n,G_n,p_n,log_n_sq,log_pn_sq,granville_n,granville_pn,"
         "wolf,kourbatov,exceeds_granville_flag"
