@@ -39,7 +39,6 @@ from .gapstats import (
     GapAccumulator,
     MaxGapRecord,
     MomentSummary,
-    TauHistogram,
     gap_statistics,
     gap_statistics_at,
     interval_gap_bracket,

@@ -27,7 +27,6 @@ from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit
 from .sieve import base_for, iter_prime_segments, sieve_segment
 
 __all__ = [
-    "TauHistogram",
     "MaxGapRecord",
     "GapAccumulator",
     "MomentSummary",
@@ -57,36 +56,6 @@ class MaxGapRecord:
     index: int
     gap: int
     lower_prime: int
-
-
-@dataclass(frozen=True)
-class TauHistogram:
-    """tau_d(x): how often each gap d occurs between primes below x.
-
-    This is the record-file convention, the one a tau file stores:
-    STRICT boundary and the first gap d_1 = 1 excluded, so every gap is
-    even.
-    """
-
-    limit: int
-    counts: Mapping[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @staticmethod
-    def check_pair(gap: int, count: int) -> None:
-        """The one rule for a tau pair, shared with the tau-file reader."""
-        if gap < 2 or gap % 2 or count <= 0:
-            raise ValueError(
-                f"invalid gap {gap} or non-positive count {count}: "
-                "a tau pair is an even gap >= 2 and a positive count"
-            )
-
-    def validate(self) -> None:
-        for d, c in self.counts.items():
-            self.check_pair(d, c)
 
 
 @dataclass
@@ -329,12 +298,10 @@ def gap_statistics(
     return gap_statistics_at([limit], rule, include_first)[0]
 
 
-def tau_histogram(limit: int) -> TauHistogram:
-    """tau_d(limit) in the record-file convention of TauHistogram."""
-    acc = gap_statistics(limit)
-    hist = TauHistogram(limit=limit, counts=dict(sorted(acc.counts.items())))
-    hist.validate()
-    return hist
+def tau_histogram(limit: int) -> dict[int, int]:
+    """tau_d(limit), gap to count in ascending gaps, in the convention of the
+    record tau files: STRICT, with d_1 = 1 left out, so every gap is even."""
+    return dict(sorted(gap_statistics(limit).counts.items()))
 
 
 def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
-"""Reading, writing and verifying tau gap-count files.
+"""Reading, writing and verifying tau gap-count files: the one owner of the format.
 
-A tau file is plain ASCII: one "gap count" pair per line, gaps even and
+A tau histogram is a dict from gap to count.  A tau file is plain ASCII:
+one "gap count" pair per line, each field decimal digits, gaps even and
 strictly ascending, counts positive, single space on write, any
 whitespace accepted on read, LF line endings, no header and no trailing
 blank line.  Writing then reading then writing again is byte-identical.
@@ -9,9 +10,10 @@ blank line.  Writing then reading then writing again is byte-identical.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .gapstats import TauHistogram, tau_histogram
+from .gapstats import tau_histogram
 
 __all__ = [
     "TauFormatError", "TauVerification",
@@ -23,25 +25,37 @@ class TauFormatError(ValueError):
     """A tau file violated the format; message carries the line number."""
 
 
-def format_tau(histogram: TauHistogram) -> str:
-    """The histogram as the text of a tau file: the one owner of the format."""
-    histogram.validate()
-    return "".join(f"{d} {histogram.counts[d]}\n" for d in sorted(histogram.counts))
+def _check_pair(gap: int, count: int) -> None:
+    """The one rule for a tau pair, checked on every write and every read."""
+    if gap < 2 or gap % 2 or count <= 0:
+        raise ValueError(
+            f"invalid gap {gap} or non-positive count {count}: "
+            "a tau pair is an even gap >= 2 and a positive count"
+        )
 
 
-def write_tau(path: str | os.PathLike, histogram: TauHistogram) -> None:
-    """Write the histogram to a tau file at path."""
-    text = format_tau(histogram)
+def format_tau(counts: Mapping[int, int]) -> str:
+    """The counts as the text of a tau file."""
+    for gap, count in counts.items():
+        _check_pair(gap, count)
+    return "".join(f"{gap} {count}\n" for gap, count in sorted(counts.items()))
+
+
+def write_tau(path: str | os.PathLike, counts: Mapping[int, int]) -> None:
+    """Write the counts to a tau file at path."""
+    text = format_tau(counts)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
 
 
-def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
-    """Parse a tau file; the limit is metadata supplied by the caller."""
+def read_tau(path: str | os.PathLike) -> dict[int, int]:
+    """Parse a tau file into its counts, naming the line of the first fault."""
     counts: dict[int, int] = {}
     last_gap = 0
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise TauFormatError(f"{path}:{lineno}: non-ASCII byte")
             fields = line.split()
             if not fields:
                 raise TauFormatError(f"{path}:{lineno}: blank line")
@@ -49,12 +63,14 @@ def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
                 raise TauFormatError(
                     f"{path}:{lineno}: expected 'gap count', got {line.rstrip()!r}"
                 )
-            try:
+            try:  # a minus sign reaches the pair rule; int's "+" and "_" do not
+                if not all(f.removeprefix("-").isdigit() for f in fields):
+                    raise ValueError(fields)
                 gap, count = int(fields[0]), int(fields[1])
             except ValueError as exc:
                 raise TauFormatError(f"{path}:{lineno}: non-integer field") from exc
             try:
-                TauHistogram.check_pair(gap, count)
+                _check_pair(gap, count)
             except ValueError as exc:
                 raise TauFormatError(f"{path}:{lineno}: {exc}") from None
             if gap <= last_gap:
@@ -63,7 +79,7 @@ def read_tau(path: str | os.PathLike, limit: int) -> TauHistogram:
                 )
             counts[gap] = count
             last_gap = gap
-    return TauHistogram(limit=limit, counts=counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,7 @@ class TauVerification:
 
     @property
     def matches(self) -> bool:
-        return not self.differences and self.reference_total == self.computed_total
+        return not self.differences
 
     def summary(self) -> str:
         if self.matches:
@@ -101,18 +117,18 @@ _MAX_REPORTED_DIFFS = 10
 
 def verify_tau(reference_path: str | os.PathLike, limit: int) -> TauVerification:
     """Recompute tau counts at the limit and diff against a reference file."""
-    reference = read_tau(reference_path, limit)
+    reference = read_tau(reference_path)
     computed = tau_histogram(limit)
     diffs = []
-    for gap in sorted(set(reference.counts) | set(computed.counts)):
-        ref = reference.counts.get(gap, 0)
-        got = computed.counts.get(gap, 0)
+    for gap in sorted(reference.keys() | computed.keys()):
+        ref = reference.get(gap, 0)
+        got = computed.get(gap, 0)
         if ref != got:
             diffs.append((gap, ref, got))
     return TauVerification(
         limit=limit,
-        reference_total=reference.total,
-        computed_total=computed.total,
+        reference_total=sum(reference.values()),
+        computed_total=sum(computed.values()),
         differences=diffs[:_MAX_REPORTED_DIFFS],
         truncated=len(diffs) > _MAX_REPORTED_DIFFS,
     )

@@ -23,7 +23,6 @@ from primegaps import (
     BoundaryRule,
     GapAccumulator,
     MaxGapRecord,
-    TauHistogram,
     gap_statistics,
     gap_statistics_at,
     interval_gap_bracket,
@@ -34,6 +33,7 @@ from primegaps import (
     power_sum,
     tau_histogram,
 )
+from primegaps.tauio import format_tau, write_tau
 
 import oracles
 
@@ -397,14 +397,14 @@ def test_histogram_totals_on_random_limits(oracle_primes_1e6):
         limit = rng.randrange(10, 10**6)
         hist = tau_histogram(limit)
         strictly_below = sum(1 for p in oracle_primes_1e6 if p < limit)
-        assert hist.total == max(strictly_below - 2, 0)
-        hist.validate()
+        assert sum(hist.values()) == max(strictly_below - 2, 0)
+        format_tau(hist)  # raises on a pair outside the tau convention
 
 
 def test_tau_spot_values_at_2pow20(hist_2pow20):
-    assert hist_2pow20.counts[2] == 8535
-    assert hist_2pow20.counts[114] == 1
-    assert max(hist_2pow20.counts) == 114
+    assert hist_2pow20[2] == 8535
+    assert hist_2pow20[114] == 1
+    assert max(hist_2pow20) == 114
 
 
 def test_first_power_sum_telescopes_to_last_prime(oracle_primes_1e6):
@@ -602,12 +602,14 @@ def test_moments_input_validation(acc_100k):
         moments(GapAccumulator(), [1])
 
 
-def test_histogram_validate_rejects_bad_shapes():
+def test_histogram_validate_rejects_bad_shapes(tmp_path):
     # the first gap d_1 = 1 is outside the tau convention; gaps 0 and -2 are
     # even but no gap at all, and a tau file could not be read back with them
+    path = tmp_path / "bad.dat"
     for counts in ({2: 0}, {3: 1}, {1: 1}, {0: 1}, {-2: 1}):
         with pytest.raises(ValueError, match="invalid gap .* or non-positive count"):
-            TauHistogram(100, counts).validate()
+            write_tau(path, counts)
+    assert not path.exists()
 
 
 # interval bracketing
