@@ -1,9 +1,9 @@
 """Command-line surface: one subcommand per reproducible artifact.
 
 `main` opens the one output (stdout or --out) for every subcommand. Each
-sieving report runs through _run_report, which parses --limit and checks
-the budget once. `moments` is the moment figure, the only report with the
-moment flags; `figure-data` (alias `compare`) is the maximal-gap figure,
+sieving report runs through _run_report, which parses --limit and prices its
+widest sweep plan once. `moments` is the moment figure, the only report with
+the moment flags; `figure-data` (alias `compare`) is the maximal-gap figure,
 one of the three record reports that share _records.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
@@ -21,7 +21,7 @@ import sys
 from typing import TextIO
 
 from . import expmodel, reports, tauio
-from .gapstats import tau_histogram
+from .gapstats import plan_sweep, tau_histogram
 from .reports import BudgetExceeded, DEFAULT_BUDGET_SECONDS, parse_limit
 from .sieve import BoundaryRule
 
@@ -68,11 +68,12 @@ def _output(path: str | None):
 
 
 def _run_report(args: argparse.Namespace, out: TextIO) -> int:
-    """Parse the limits (a comma list for table1 alone), refuse a run whose
-    largest limit is over budget, then hand out and the limits to args.report."""
+    """Parse the limits (a comma list for table1 alone), refuse a run whose widest plan
+    (2 to the largest limit) is over budget, then hand out and the limits to args.report."""
     texts = args.limit.split(",") if args.report is _table1 else [args.limit]
     limits = [parse_limit(text) for text in texts]
-    reports.check_budget(max(limits), args.budget_seconds, args.force)
+    plan = plan_sweep(limits, BoundaryRule.INCLUSIVE, include_first=True)
+    reports.check_budget(plan, args.budget_seconds, args.force)
     return args.report(args, out, limits)
 
 

@@ -5,8 +5,8 @@ ranges, folded independently (long sweeps in forked children, one share per
 usable CPU) and stitched in order.  A range owns the gaps whose upper prime
 lies in it, as in the windows of Oliveira e Silva, Herzog and Pardi (2014),
 so where the cuts and the sieve's segments fall never changes a statistic.
-One sweep answers limits in any order, a list in the caller's order, its
-range cap checked before any fold.
+plan_sweep lays out every sweep, its limits checked before any base or fork;
+one sweep answers limits in any order, a list in the caller's order.
 Power sums are plain Python integers and therefore exact at any k;
 each moment, the mean, the variance and the Taylor ratio is one
 correctly rounded true division of two exact integers.
@@ -15,11 +15,13 @@ correctly rounded true division of two exact integers.
 from __future__ import annotations
 
 import os
+import signal
+import sys
 import threading
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "max_gap_records",
     "gap_statistics",
     "gap_statistics_at",
+    "plan_sweep",
     "tau_histogram",
     "interval_gap_bracket",
 ]
@@ -216,14 +219,16 @@ def _fold_child(share: list[tuple[int, int]], base: np.ndarray, conn) -> None:
 
 
 def _fold_shares(shares: list[list[tuple[int, int]]], base: np.ndarray) -> list[GapAccumulator]:
-    """Every share's folds in order, all but the first share's from forked children,
-    unless a second thread is alive (a fork copies its locks as they are) or this
-    process is a daemon.  A child reads the parent's base from the pages it shares."""
-    children = []
+    """Every share's folds in order, all but the first share's from forked children unless
+    a second thread is alive (a fork copies its locks) or this process is a daemon.  Children
+    read the parent's base pages; while they run, a SIGTERM exits 143 through the finally."""
+    children, previous = [], None
     try:
         if len(shares) > 1 and threading.active_count() == 1:
             import multiprocessing  # only a split sweep pays for the import
             if not multiprocessing.current_process().daemon:  # a daemon may have no children
+                if threading.current_thread() is threading.main_thread():  # signal.signal refuses others
+                    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
                 context = multiprocessing.get_context("fork")
                 for share in shares[1:]:
                     receiver, sender = context.Pipe(duplex=False)
@@ -248,25 +253,22 @@ def _fold_shares(shares: list[list[tuple[int, int]]], base: np.ndarray) -> list[
             child.kill()  # a no-op for a child that has sent its share
             child.join()
             receiver.close()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
-def gap_statistics_at(
+def plan_sweep(
     limits: Iterable[int],
     rule: BoundaryRule = BoundaryRule.STRICT,
     include_first: bool = False,
-) -> list[GapAccumulator]:
-    """The accumulator of every gap below each limit, a list in the caller's order.
-
-    Gap d_n joins p_n and p_{n+1}; under STRICT the upper prime satisfies
-    p_{n+1} < limit, under INCLUSIVE p_{n+1} <= limit.  The sweep starts at 2, or
-    at 4 with include_first=False: no gap ending at 4 or later is d_1 = 1.  Limits
-    lie in [3, 2**63 - 1], in any order, repeats allowed, and are checked before any
-    fold.  One sweep from the start to the top bound is cut at every bound and at
-    top * i // count for 0 < i < count, where the share count is at most one per
-    usable CPU (as taskset sets them) and per _SHARE_FLOOR numbers; the shares
-    after the first fold in forked children, all over one base built for the top.
-    Each range holds the gaps whose upper prime lies in it, so the stitch only shifts its indices.
-    """
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """One sweep's layout: each limit's bound, in the caller's order, and the ranges that
+    partition [start, top) in shares.  A bound is the limit under STRICT, limit + 1 under
+    INCLUSIVE.  The sweep starts at 2, or at 4 with include_first=False: no gap ending at
+    4 or later is d_1 = 1.  Limits lie in [3, 2**63 - 1], in any order, repeats allowed,
+    checked before any base or fork.  The top is cut at every bound and at top * i // count
+    for 0 < i < count, the share count at most one per usable CPU (as taskset sets them)
+    and per _SHARE_FLOOR numbers."""
     limits = list(limits)
     if any(limit < 3 for limit in limits):
         raise ValueError(f"limits must be at least 3 (no gap lies below 3), got {limits}")
@@ -278,15 +280,27 @@ def gap_statistics_at(
     count = max(1, min(cpus, top // _SHARE_FLOOR))
     cuts = [top * i // count for i in range(1, count)]
     ranges = list(pairwise(sorted({start, *bounds, *cuts})))
-    shares = [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([start, *cuts, top])]
-    total, at = GapAccumulator(), {start: GapAccumulator()}
-    for (_, hi), acc in zip(ranges, _fold_shares(shares, base_for(top))):
+    return bounds, [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([start, *cuts, top])]
+
+
+def gap_statistics_at(
+    limits: Iterable[int],
+    rule: BoundaryRule = BoundaryRule.STRICT,
+    include_first: bool = False,
+) -> list[GapAccumulator]:
+    """The accumulator of every gap below each limit, a list in the caller's order, folded
+    over plan_sweep's shares (all but the first in forked children) with one base for the
+    top.  A range holds the gaps whose upper prime lies in it, so the stitch shifts indices."""
+    bounds, shares = plan_sweep(limits, rule, include_first)
+    folds = _fold_shares(shares, base_for(max(bounds, default=2)))
+    total, at = GapAccumulator(), {}
+    for (_, hi), acc in zip(chain.from_iterable(shares), folds):
         if acc.n:  # its indices shift by the gaps before it, and by d_1 when that is left out
             shift = total.n + (not include_first)
             records = [MaxGapRecord(r.index + shift, r.gap, r.lower_prime) for r in acc.records]
             total = merge(total, GapAccumulator(shift + 1, shift + acc.n, acc.counts, records))
         at[hi] = total
-    return [at[bound] for bound in bounds]
+    return [at.get(bound, GapAccumulator()) for bound in bounds]  # a bound at the start ends no range
 
 
 def gap_statistics(

@@ -106,7 +106,7 @@ class BudgetExceeded(RuntimeError):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"estimated runtime {estimate:.0f}s exceeds budget {budget:.0f}s; "
+            f"estimated runtime {format_value(estimate)}s exceeds budget {format_value(budget)}s; "
             "re-run with --force or raise --budget-seconds"
         )
 
@@ -115,8 +115,9 @@ def estimate_seconds(total_numbers: int) -> float:
     return total_numbers / ESTIMATED_NUMBERS_PER_SECOND
 
 
-def check_budget(total_numbers: int, budget: float, force: bool) -> None:
-    estimate = estimate_seconds(total_numbers)
+def check_budget(plan: tuple[list, list[list[tuple[int, int]]]], budget: float, force: bool) -> None:
+    """Refuse a plan_sweep plan whose ranges hold too many numbers, unless forced."""
+    estimate = estimate_seconds(sum(hi - lo for share in plan[1] for lo, hi in share))
     if estimate > budget and not force:
         raise BudgetExceeded(estimate, budget)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -72,7 +74,8 @@ def test_malformed_limit_is_a_usage_error(capsys):
 def test_budget_refusal_and_force(tmp_path, capsys):
     args = ["taus", "--limit", "2^20", "--budget-seconds", "0.001"]
     assert main(args + ["--out", str(tmp_path / "a.dat")]) == 3
-    assert "exceeds budget" in capsys.readouterr().err
+    # 2^20 - 1 numbers at 10^8 a second, both sides with six significant digits
+    assert "estimated runtime 0.0104858s exceeds budget 0.001s;" in capsys.readouterr().err
     out = tmp_path / "b.dat"
     assert main(args + ["--force", "--out", str(out)]) == 0
     assert out.exists()
@@ -136,6 +139,16 @@ def test_table1_budget_charges_the_largest_limit_not_the_sum():
 def test_table1_budget_still_refuses_the_largest_limit(capsys):
     assert main(["table1", "--limit", "2^20,2^24", "--budget-seconds", "0.1"]) == 3
     assert "exceeds budget" in capsys.readouterr().err
+
+
+def test_the_guard_prices_every_number_from_2_to_the_largest_limit(capsys):
+    # 2 to 101 is 100 numbers, 10^-6 s at 10^8 a second: inside a 10^-6 s budget
+    assert main(["taus", "--limit", "101", "--budget-seconds", "1e-6"]) == 0
+    capsys.readouterr()
+    assert main(["taus", "--limit", "102", "--budget-seconds", "1e-6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: estimated runtime 1.01e-06s exceeds budget 1e-06s;")
 
 
 def test_missing_required_argument_exits_with_usage_code():
@@ -390,17 +403,21 @@ def test_expmodel_summary(tmp_path):
     assert "spacings n=100 seed=5 generator=numpy-pcg64 sum=1.0000" in text
 
 
-def run_module(argv, stdout=subprocess.PIPE, **env):
-    """`python -m primegaps argv` in a child that finds the package where
-    this process imported it from."""
+def package_env(**env) -> dict[str, str]:
+    """The environment of a child that finds the package where this process imported it from."""
     paths = [str(Path(primegaps.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **env}
+
+
+def run_module(argv, stdout=subprocess.PIPE, **env):
+    """`python -m primegaps argv` in a child that finds the package."""
     return subprocess.run(
         [sys.executable, "-m", "primegaps", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **env},
+        env=package_env(**env),
     )
 
 
@@ -429,3 +446,48 @@ def test_closed_stdout_ends_the_run_quietly(unbuffered, tmp_path, capsys):
     missing = tmp_path / "missing" / "fig.csv"
     assert main(["figure-data", "--limit", "1000", "--out", str(missing)]) == 2
     assert "No such file" in capsys.readouterr().err
+
+
+# Two CPUs and 2^12-number shares split `moments --limit 20000` at 10000; the
+# forked share prints its pid and stalls, so the parent waits on it.
+STALLED_SPLIT_SWEEP = """
+import os, sys, time
+from primegaps import cli, gapstats
+os.sched_getaffinity = lambda pid: {0, 1}
+gapstats._SHARE_FLOOR = 1 << 12
+parent, fold = os.getpid(), gapstats._fold_range
+def fold_or_stall(lo, hi, base):
+    if os.getpid() != parent:
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+    return fold(lo, hi, base)
+gapstats._fold_range = fold_or_stall
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_sigterm_stops_a_split_sweep_and_its_forked_share(tmp_path):
+    path = tmp_path / "moments.csv"
+    path.write_text("earlier report\n", encoding="ascii")
+    argv = ["moments", "--limit", "20000", "--out", str(path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STALLED_SPLIT_SWEEP, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=package_env(),
+    )
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 143  # 128 + SIGTERM, as a shell reports a TERM
+        with pytest.raises(ProcessLookupError):  # killed and reaped before the parent left
+            os.kill(child, 0)
+    finally:  # the child first: a stray one would hold the pipe open for a minute
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
+    assert path.read_text(encoding="ascii") == "earlier report\n"

@@ -218,6 +218,30 @@ def test_sweep_equals_the_oracle_on_random_limits(
     assert sweep == [oracle_accumulator(limit, rule, include_first) for limit in limits]
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    limits=st.lists(st.integers(3, 10**7), max_size=6),
+    rule=st.sampled_from(list(BoundaryRule)),
+    include_first=st.booleans(),
+    cpus=st.integers(1, 8),
+    floor=st.sampled_from([1 << 8, 1 << 12, 1 << 20]),
+)
+def test_a_sweep_plan_partitions_its_span_into_shares(limits, rule, include_first, cpus, floor, monkeypatch):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(gapstats, "_SHARE_FLOOR", floor)
+    bounds, shares = gapstats.plan_sweep(limits, rule, include_first)
+    start = 2 if include_first else 4
+    assert bounds == [max(start, limit + (rule is BoundaryRule.INCLUSIVE)) for limit in limits]
+    top = max(bounds, default=start)
+    ranges = [r for share in shares for r in share]  # the shares in order, each contiguous
+    edges = [start, *(hi for _, hi in ranges)]
+    assert [lo for lo, _ in ranges] == edges[:-1] and edges[-1] == top  # a partition of [start, top)
+    assert all(lo < hi for lo, hi in ranges)
+    assert {bound for bound in bounds if bound > start} <= set(edges[1:])  # each ends a range
+    assert all(shares) or not ranges
+    assert len(shares) <= min(cpus, max(1, top // floor))
+
+
 def chain_reference(chain: list[int]) -> GapAccumulator:
     """The gaps between consecutive primes of the chain, one at a time, indexed from 1."""
     if len(chain) < 2:
@@ -308,6 +332,19 @@ def test_a_query_builds_one_base(query, bound, monkeypatch):
 def test_split_sweep_leaves_no_child(small_shares):
     list(gap_statistics_at(SPLIT_LIMITS))
     assert multiprocessing.active_children() == []
+
+
+def test_a_split_sweep_restores_the_callers_sigterm_handler(small_shares):
+    # the sweep's own handler lives only while its children do; the CLI test stops one with it
+    def callers(signum, frame):
+        raise AssertionError("no SIGTERM is sent here")
+
+    previous = signal.signal(signal.SIGTERM, callers)
+    try:
+        assert gap_statistics_at(SPLIT_LIMITS) == [gap_statistics(limit) for limit in SPLIT_LIMITS]
+        assert signal.getsignal(signal.SIGTERM) is callers
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])

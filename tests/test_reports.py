@@ -84,14 +84,17 @@ def test_run_config_header_contents():
 
 
 def test_budget_guard():
+    # a plan is priced by the numbers its ranges hold: 2 to 10^13 inclusive is 10^13 - 1
     assert estimate_seconds(int(ESTIMATED_NUMBERS_PER_SECOND)) == pytest.approx(1.0)
-    check_budget(10**6, DEFAULT_BUDGET_SECONDS, force=False)
+    plan = gapstats.plan_sweep([10**6], BoundaryRule.INCLUSIVE, include_first=True)
+    check_budget(plan, DEFAULT_BUDGET_SECONDS, force=False)
+    plan = gapstats.plan_sweep([10**13], BoundaryRule.INCLUSIVE, include_first=True)
     with pytest.raises(BudgetExceeded) as exc_info:
-        check_budget(10**13, 600.0, force=False)
-    assert exc_info.value.estimate > 600.0
+        check_budget(plan, 600.0, force=False)
+    assert exc_info.value.estimate == estimate_seconds(10**13 - 1)
     assert exc_info.value.budget == 600.0
     assert "--force" in str(exc_info.value)
-    check_budget(10**13, 600.0, force=True)
+    check_budget(plan, 600.0, force=True)
 
 
 def test_table1_first_row():
