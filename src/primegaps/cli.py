@@ -6,8 +6,8 @@ widest sweep plan once. `moments` is the moment figure, the only report with
 the moment flags; `figure-data` (alias `compare`) is the maximal-gap figure,
 one of the three record reports that share _records.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
-3 refused because the estimated runtime exceeds the budget.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input error or
+an internal fault, 3 refused because the estimated runtime exceeds the budget.
 """
 
 from __future__ import annotations

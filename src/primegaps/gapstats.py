@@ -2,7 +2,8 @@
 
 Accumulators form a monoid under merge, so a sweep is split into contiguous
 ranges, folded independently (long sweeps in forked children, one share per
-usable CPU) and stitched in order.  A range owns the gaps whose upper prime
+usable CPU) and joined in order, each at the prime where the one before it
+ends, which merge alone checks.  A range owns the gaps whose upper prime
 lies in it, as in the windows of Oliveira e Silva, Herzog and Pardi (2014),
 so where the cuts and the sieve's segments fall never changes a statistic.
 plan_sweep lays out every sweep, its limits checked before any base or fork;
@@ -63,23 +64,23 @@ class MaxGapRecord:
 
 @dataclass
 class GapAccumulator:
-    """Summary of the gaps at a contiguous range of indices.
+    """Summary of the gaps between consecutive primes over a contiguous stretch.
 
-    first_index/last_index delimit the range (None when empty), counts
-    is the gap histogram, records the running left-to-right maxima.
-    The largest gap seen is always records[-1].gap.
+    first_index is the index of its first gap, or of the next when empty (None while
+    unplaced); first_prime and last_prime are the lower prime of its first gap and
+    the upper prime of its last (None when empty); counts is the gap histogram and
+    records the running left-to-right maxima, so the largest gap is records[-1].gap.
     """
 
     first_index: int | None = None
-    last_index: int | None = None
+    first_prime: int | None = None
+    last_prime: int | None = None
     counts: Counter = field(default_factory=Counter)
     records: list[MaxGapRecord] = field(default_factory=list)
 
     @property
     def n(self) -> int:
-        if self.first_index is None:
-            return 0
-        return self.last_index - self.first_index + 1
+        return sum(self.counts.values())
 
     @property
     def overall_max(self) -> int:
@@ -111,33 +112,33 @@ class GapAccumulator:
             MaxGapRecord(first_index + i, g, p)
             for i, g, p in zip(where.tolist(), gaps[where].tolist(), lower_primes[where].tolist())
         ]
-        return cls(
-            first_index=first_index,
-            last_index=first_index + int(gaps.size) - 1,
-            counts=counts,
-            records=records,
-        )
+        last_prime = int(lower_primes[-1]) + int(gaps[-1])
+        return cls(first_index, int(lower_primes[0]), last_prime, counts, records)
 
 
 def merge(left: GapAccumulator, right: GapAccumulator) -> GapAccumulator:
-    """Combine summaries of adjacent index ranges into a new summary.
-
-    Right-hand records are kept only where they beat everything on the
-    left, which is exactly the left-to-right maxima rule.  An empty side
-    needs no adjacency and leaves the other side's ends.
+    """Join two summaries where right starts at the prime where left ends: the one
+    rule for a join.  Right's records are renumbered to follow a placed left and kept
+    only where they beat everything on the left, the left-to-right maxima rule.  An
+    empty side needs no adjacency and leaves the other side's ends.
     """
-    if left.n and right.n and right.first_index != left.last_index + 1:
+    if left.n and right.n and right.first_prime != left.last_prime:
         raise ValueError(
-            f"ranges not adjacent: left ends at {left.last_index}, "
-            f"right starts at {right.first_index}"
+            f"ranges not adjacent: left ends at prime {left.last_prime}, "
+            f"right starts at prime {right.first_prime}"
         )
+    placed = None not in (left.first_index, right.first_index)
+    shift = left.first_index + left.n - right.first_index if placed else 0
     counts = Counter(left.counts)
     counts.update(right.counts)
     best = left.overall_max
-    records = left.records + [r for r in right.records if r.gap > best]
+    kept = [r for r in right.records if r.gap > best]
+    if shift:
+        kept = [MaxGapRecord(r.index + shift, r.gap, r.lower_prime) for r in kept]
     first = right.first_index if left.first_index is None else left.first_index
-    last = left.last_index if right.last_index is None else right.last_index
-    return GapAccumulator(first, last, counts, records)
+    first_prime = right.first_prime if left.first_prime is None else left.first_prime
+    last_prime = left.last_prime if right.last_prime is None else right.last_prime
+    return GapAccumulator(first, first_prime, last_prime, counts, left.records + kept)
 
 
 def power_sum(acc: GapAccumulator, k: int) -> int:
@@ -189,7 +190,7 @@ def moments(acc: GapAccumulator, ks: Iterable[int]) -> MomentSummary:
 
 def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
     """Record gaps G_n; requires a stream that started at index 1."""
-    if acc.first_index is None:
+    if not acc.n:
         raise ValueError("empty accumulator has no records")
     if acc.first_index != 1:
         raise ValueError(
@@ -206,7 +207,7 @@ def _fold_range(lo: int, hi: int, base: np.ndarray) -> GapAccumulator:
         chain = np.concatenate((last, seg.primes))  # led by the last prime before the segment, if any
         last = chain[-1:].copy()
         chain = chain[max(1, int(np.searchsorted(chain, lo))) - 1 :]  # gaps ending at lo or later
-        total = merge(total, GapAccumulator.from_gap_arrays(total.n + 1, np.diff(chain), chain[:-1]))
+        total = merge(total, GapAccumulator.from_gap_arrays(1, np.diff(chain), chain[:-1]))
     return total
 
 
@@ -290,17 +291,15 @@ def gap_statistics_at(
 ) -> list[GapAccumulator]:
     """The accumulator of every gap below each limit, a list in the caller's order, folded
     over plan_sweep's shares (all but the first in forked children) with one base for the
-    top.  A range holds the gaps whose upper prime lies in it, so the stitch shifts indices."""
+    top.  Each range is folded from index 1; merge checks every join and renumbers each range
+    to follow the seed, an empty accumulator placed at index 1, or at 2 with d_1 left out."""
     bounds, shares = plan_sweep(limits, rule, include_first)
     folds = _fold_shares(shares, base_for(max(bounds, default=2)))
-    total, at = GapAccumulator(), {}
+    total = seed = GapAccumulator(1 if include_first else 2)
+    at = {}
     for (_, hi), acc in zip(chain.from_iterable(shares), folds):
-        if acc.n:  # its indices shift by the gaps before it, and by d_1 when that is left out
-            shift = total.n + (not include_first)
-            records = [MaxGapRecord(r.index + shift, r.gap, r.lower_prime) for r in acc.records]
-            total = merge(total, GapAccumulator(shift + 1, shift + acc.n, acc.counts, records))
-        at[hi] = total
-    return [at.get(bound, GapAccumulator()) for bound in bounds]  # a bound at the start ends no range
+        total = at[hi] = merge(total, acc)
+    return [at.get(bound, seed) for bound in bounds]  # a bound at the start ends no range
 
 
 def gap_statistics(

@@ -106,7 +106,7 @@ class BudgetExceeded(RuntimeError):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"estimated runtime {format_value(estimate)}s exceeds budget {format_value(budget)}s; "
+            f"estimated runtime {estimate!r}s exceeds budget {budget!r}s; "
             "re-run with --force or raise --budget-seconds"
         )
 

@@ -74,8 +74,11 @@ def test_malformed_limit_is_a_usage_error(capsys):
 def test_budget_refusal_and_force(tmp_path, capsys):
     args = ["taus", "--limit", "2^20", "--budget-seconds", "0.001"]
     assert main(args + ["--out", str(tmp_path / "a.dat")]) == 3
-    # 2^20 - 1 numbers at 10^8 a second, both sides with six significant digits
-    assert "estimated runtime 0.0104858s exceeds budget 0.001s;" in capsys.readouterr().err
+    # 2^20 - 1 numbers at 10^8 a second, each side the shortest decimal of its float
+    assert "estimated runtime 0.01048575s exceeds budget 0.001s;" in capsys.readouterr().err
+    # one number past the default budget: the two sides still differ in print
+    assert main(["moments", "--limit", "60000000002"]) == 3
+    assert "estimated runtime 600.00000001s exceeds budget 600.0s;" in capsys.readouterr().err
     out = tmp_path / "b.dat"
     assert main(args + ["--force", "--out", str(out)]) == 0
     assert out.exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import multiprocessing
 import os
@@ -142,13 +143,14 @@ def folds_in_this_process(monkeypatch) -> list[tuple[int, int]]:
 def oracle_accumulator(limit: int, rule: BoundaryRule, include_first: bool) -> GapAccumulator:
     triples = oracles.naive_gaps(limit, rule is BoundaryRule.INCLUSIVE, include_first)
     if not triples:
-        return GapAccumulator()
+        return GapAccumulator(1 if include_first else 2)  # placed where the sweep's next gap would go
     records = []
     for index, lower, gap in triples:
         if gap > (records[-1].gap if records else 0):
             records.append(MaxGapRecord(index, gap, lower))
     counts = Counter(gap for _, _, gap in triples)
-    return GapAccumulator(triples[0][0], triples[-1][0], counts, records)
+    (index, first_prime, _), (_, lower, gap) = triples[0], triples[-1]
+    return GapAccumulator(index, first_prime, lower + gap, counts, records)
 
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))
@@ -367,6 +369,36 @@ def test_a_failed_share_reaches_the_caller_and_leaves_no_child(where, small_shar
     assert time.monotonic() - start < 30
 
 
+# Two seam mutants of the range fold, for every range past the start: one leaves out
+# the gap ending at the range's first prime, one also folds the gap before that.
+# Each range is consistent on its own, so only the join can see them.
+SEAM_MUTANTS = {
+    "dropped": lambda lo: oracles.next_prime(lo - 1) + 1,
+    "repeated": lambda lo: oracles.prev_prime(lo - 1),
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("mutant", list(SEAM_MUTANTS))
+def test_the_sweep_checks_its_own_seams(mutant, cpus, small_shares, monkeypatch, capsys):
+    use_cpus(monkeypatch, cpus)
+    fold, moved = gapstats._fold_range, SEAM_MUTANTS[mutant]
+
+    def mutant_fold(lo, hi, base):
+        return fold(moved(lo) if lo > 4 else lo, hi, base)  # the first range starts the sweep at 4
+
+    monkeypatch.setattr(gapstats, "_fold_range", mutant_fold)
+    cut = 20000 // cpus  # the first join; the range after it folds in a child
+    left_end = oracles.prev_prime(cut - 1)
+    right_start = oracles.next_prime(cut - 1) if mutant == "dropped" else oracles.prev_prime(left_end - 1)
+    message = f"ranges not adjacent: left ends at prime {left_end}, right starts at prime {right_start}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gap_statistics_at([20000])
+    assert cli.main(["moments", "--limit", "20000"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert multiprocessing.active_children() == []
+
+
 def killed_in_the_child(monkeypatch) -> None:
     """A child's fold SIGKILLs its own process, so the child sends nothing."""
     parent, fold = os.getpid(), gapstats._fold_range
@@ -451,6 +483,27 @@ def test_first_power_sum_telescopes_to_last_prime(oracle_primes_1e6):
         assert power_sum(acc, 1) == last - 2
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    limits=st.lists(st.one_of(st.integers(3, 5), st.integers(3, 10**6)), max_size=4),
+    rule=st.sampled_from(list(BoundaryRule)),
+    include_first=st.booleans(),
+    cpus=st.integers(1, 4),
+)
+def test_a_sweep_is_placed_and_telescopes_between_its_end_primes(
+    limits, rule, include_first, cpus, oracle_primes_1e6, small_shares, monkeypatch
+):
+    # the seed places every sweep, an empty one too, at d_1's index or the next
+    use_cpus(monkeypatch, cpus)
+    for limit, acc in zip(limits, gap_statistics_at(limits, rule, include_first), strict=True):
+        assert acc.first_index == (1 if include_first else 2)
+        if acc.n:
+            bound = limit + (rule is BoundaryRule.INCLUSIVE)
+            assert acc.first_prime == (2 if include_first else 3)
+            assert acc.last_prime == oracle_primes_1e6[bisect.bisect_left(oracle_primes_1e6, bound) - 1]
+            assert power_sum(acc, 1) == acc.last_prime - acc.first_prime
+
+
 def test_merge_equals_one_pass_on_random_splits(oracle_gaps_100k, acc_100k):
     rng = random.Random(7)
     total = len(oracle_gaps_100k)
@@ -459,6 +512,10 @@ def test_merge_equals_one_pass_on_random_splits(oracle_gaps_100k, acc_100k):
         left = acc_from_slice(oracle_gaps_100k, 0, cut)
         right = acc_from_slice(oracle_gaps_100k, cut, total)
         assert merge(left, right) == acc_100k
+        # indexed from 1, as a range folded on its own is: merge renumbers it
+        _, lowers, gaps = zip(*oracle_gaps_100k[cut:])
+        from_one = GapAccumulator.from_gap_arrays(1, np.array(gaps), np.array(lowers))
+        assert merge(left, from_one) == acc_100k
 
 
 def test_merge_is_associative(oracle_gaps_100k):
@@ -501,7 +558,7 @@ def running_max_reference(first_index: int, gaps: list[int], lowers: list[int]) 
         if gap > best:
             best = gap
             records.append(MaxGapRecord(first_index + i, gap, lower))
-    return GapAccumulator(first_index, first_index + len(gaps) - 1, Counter(gaps), records)
+    return GapAccumulator(first_index, lowers[0], lowers[-1] + gaps[-1], Counter(gaps), records)
 
 
 def assert_fold_matches_reference(first_index: int, gaps: list[int]) -> None:
@@ -604,7 +661,7 @@ def test_moments_are_exact_past_the_fixture(counts, orders):
     # every float is the one float(Fraction) gives, up to the first order whose
     # S_k/n overflows (gaps <= 1550, the largest known, overflow from k = 97 on)
     n = sum(counts.values())
-    acc = GapAccumulator(1, n, Counter(counts))
+    acc = GapAccumulator(1, counts=Counter(counts))
     sums = [sum(d**k * c for d, c in counts.items()) for k in range(401)]
     exact = [float_or_none(Fraction(s, n)) for s in sums]
     first_over = exact.index(None) if None in exact else 401

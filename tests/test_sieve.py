@@ -201,7 +201,7 @@ def test_boundary_rules_differ_exactly_at_a_prime_limit():
     inclusive = gap_statistics(97, BoundaryRule.INCLUSIVE, include_first=True)
     last_gap = GapAccumulator.from_gap_arrays(24, np.array([8]), np.array([89]))
     assert merge(strict, last_gap) == inclusive
-    assert inclusive.last_index == 24
+    assert (inclusive.n, inclusive.last_prime) == (24, 97)
     # 98 is composite: both rules agree
     assert gap_statistics(98, BoundaryRule.STRICT, include_first=True) == inclusive
 
@@ -225,7 +225,7 @@ def test_gap_event_chain_coherence(oracle_primes_1e6, segment_width):
     segment_width(64)
     acc = gap_statistics(10**5, BoundaryRule.STRICT, include_first=True)
     below = [p for p in oracle_primes_1e6 if p < 10**5]
-    assert (acc.first_index, acc.last_index) == (1, len(below) - 1)
+    assert (acc.first_index, acc.n, acc.last_prime) == (1, len(below) - 1, below[-1])
     assert power_sum(acc, 1) == below[-1] - 2
 
 
