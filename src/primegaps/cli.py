@@ -6,8 +6,8 @@ widest sweep plan once. `moments` is the moment figure, the only report with
 the moment flags; `figure-data` (alias `compare`) is the maximal-gap figure,
 one of the three record reports that share _records.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error or
-an internal fault, 3 refused because the estimated runtime exceeds the budget.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input error, internal
+fault or refused allocation, 3 over the runtime budget, 130 stopped by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -203,8 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyboardInterrupt:  # Ctrl-C: forked shares are already killed and reaped
+        return 130  # 128 + SIGINT, as a shell reports it
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an allocation refused
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -222,7 +222,8 @@ def _fold_child(share: list[tuple[int, int]], base: np.ndarray, conn) -> None:
 def _fold_shares(shares: list[list[tuple[int, int]]], base: np.ndarray) -> list[GapAccumulator]:
     """Every share's folds in order, all but the first share's from forked children unless
     a second thread is alive (a fork copies its locks) or this process is a daemon.  Children
-    read the parent's base pages; while they run, a SIGTERM exits 143 through the finally."""
+    read the parent's base pages and hold SIGINT blocked; a SIGTERM (exit 143) or a Ctrl-C
+    stops the parent, whose finally kills them."""
     children, previous = [], None
     try:
         if len(shares) > 1 and threading.active_count() == 1:
@@ -231,12 +232,16 @@ def _fold_shares(shares: list[list[tuple[int, int]]], base: np.ndarray) -> list[
                 if threading.current_thread() is threading.main_thread():  # signal.signal refuses others
                     previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
                 context = multiprocessing.get_context("fork")
-                for share in shares[1:]:
-                    receiver, sender = context.Pipe(duplex=False)
-                    with sender:
-                        child = context.Process(target=_fold_child, args=(share, base, sender))
-                        child.start()
-                    children.append((child, receiver, share[0][0], share[-1][1]))
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+                try:
+                    for share in shares[1:]:
+                        receiver, sender = context.Pipe(duplex=False)
+                        with sender:
+                            child = context.Process(target=_fold_child, args=(share, base, sender))
+                            child.start()
+                        children.append((child, receiver, share[0][0], share[-1][1]))
+                finally:  # a Ctrl-C held back meanwhile is raised once every started child is listed
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 shares = shares[:1]
         folds = [_fold_range(lo, hi, base) for share in shares for lo, hi in share]
         for child, receiver, lo, hi in children:

@@ -1,9 +1,9 @@
 """Report generation: limit parsing, CSV tables and the runtime budget.
 
-Every report is row tuples in column order under one "#" line that records
-the run's configuration, then a CSV header; the moment figure puts a second
-"#" line (mean, variance, taylor_ratio) before its header.  Floats print
-with six significant digits; integers print in full.
+Every report is row tuples in column order under one "#" line that names the
+inputs that set its numbers, then a CSV header; the moment figure puts a
+second "#" line (mean, variance, taylor_ratio) before its header.  Floats
+print with six significant digits; integers print in full.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .gapstats import (
     max_gap_records,
     moments,
 )
-from .sieve import DEFAULT_SEGMENT_SIZE, BoundaryRule, _check_limit
+from .sieve import BoundaryRule, _check_limit
 
 __all__ = [
     "BudgetExceeded",
@@ -75,16 +75,9 @@ def format_value(value: object) -> str:
 
 
 def _config(limit: int, rule: BoundaryRule, include_first: bool, ks: tuple[int, ...] = ()) -> str:
-    """The inputs that determine a report's numbers, for its first "#" line.
-
-    It also names the sieve's fixed segment size, a detail of the sieve
-    that never changes a reported number.
-    """
+    """The inputs that set a report's numbers, and nothing else, for its first "#" line."""
     ks_part = " ks=" + ",".join(map(str, ks)) if ks else ""
-    return (
-        f"limit={limit} rule={rule.value} include_first={format_value(include_first)}"
-        f"{ks_part} segment_size={DEFAULT_SEGMENT_SIZE}"
-    )
+    return f"limit={limit} rule={rule.value} include_first={format_value(include_first)}{ks_part}"
 
 
 def _write_csv(out: TextIO, config: str, header: list[str], rows: list[tuple], *notes: str) -> None:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from primegaps import GapAccumulator, sieve, tau_histogram
+from primegaps import GapAccumulator, gapstats, sieve, tau_histogram
 
 import oracles
 
@@ -34,6 +36,13 @@ def segment_width(monkeypatch):
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", size)
 
     return walk_windows_of
+
+
+@pytest.fixture
+def small_shares(monkeypatch):
+    """Shares of 2^12 numbers or more over three faked CPUs, so a sweep to 20000 forks two."""
+    monkeypatch.setattr(gapstats, "_SHARE_FLOOR", 1 << 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,15 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import primegaps
-from primegaps import cli, read_tau, tau_histogram
+from primegaps import cli, expmodel, gapstats, read_tau, tau_histogram
 from primegaps.cli import main
+from primegaps.tauio import format_tau
 
 
 def test_taus_writes_the_record_format(tmp_path, capsys):
@@ -393,6 +395,66 @@ def test_segment_size_is_not_a_flag(argv, capsys):
     assert "--segment-size" in capsys.readouterr().err
 
 
+# Every sieving subcommand; 20011 is prime, so the two boundary rules differ there.
+SIEVING_RUNS = [
+    ["taus", "--limit", "20011"],
+    ["moments", "--limit", "20011"],
+    ["moments", "--limit", "20011", "--rule", "inclusive"],
+    ["moments", "--limit", "20011", "--include-first", "--k", "1,2,5"],
+    ["maximal-gaps", "--limit", "20011"],
+    ["verify-tau", "--reference", "{tau}", "--limit", "20011"],
+    ["table1", "--limit", "2^14,2^10,2^12,2^10"],
+    ["table2", "--limit", "20011", "--use-fixture"],
+    ["figure-data", "--limit", "20011", "--use-fixture"],
+]
+
+
+@pytest.mark.parametrize("argv", SIEVING_RUNS, ids=" ".join)
+def test_a_report_is_the_same_whatever_the_windows_and_cpus(
+    argv, tmp_path, small_shares, segment_width, monkeypatch, capsys
+):
+    # a report names only the inputs that set its numbers: 64-wide windows in three
+    # forked shares print the bytes of one default window on one CPU
+    tau = tmp_path / "tau.dat"
+    tau.write_text(format_tau(tau_histogram(20011)), encoding="ascii")
+    argv = [str(tau) if arg == "{tau}" else arg for arg in argv]
+
+    def printed() -> str:
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        default = printed()
+    segment_width(64)
+    assert len(gapstats.plan_sweep([16384])[1]) == 3  # every run here forks two shares
+    assert printed() == default
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: MemoryError"),
+        (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_a_refused_allocation_is_an_input_error(exc, line, tmp_path, monkeypatch, capsys):
+    # raised, not allocated: with overcommit on, a real 745 GiB array may be granted
+    def refuse(n, seed):
+        raise exc
+
+    monkeypatch.setattr(expmodel, "simulate_spacings", refuse)
+    path = tmp_path / "exp.txt"
+    path.write_text("earlier report\n", encoding="ascii")
+    argv = ["expmodel", "--n", "10", "--spacings", "100000000000", "--out", str(path)]
+    assert main(argv) == 2  # exit 1 is kept for a verification mismatch
+    assert capsys.readouterr() == ("", line + "\n")
+    assert path.read_text(encoding="ascii") == "earlier report\n"
+
+
 def test_expmodel_summary(tmp_path):
     path = tmp_path / "exp.txt"
     code = main(
@@ -454,8 +516,9 @@ def test_closed_stdout_ends_the_run_quietly(unbuffered, tmp_path, capsys):
 # Two CPUs and 2^12-number shares split `moments --limit 20000` at 10000; the
 # forked share prints its pid and stalls, so the parent waits on it.
 STALLED_SPLIT_SWEEP = """
-import os, sys, time
+import os, signal, sys, time
 from primegaps import cli, gapstats
+signal.signal(signal.SIGINT, signal.default_int_handler)  # as from a terminal, if started with it ignored
 os.sched_getaffinity = lambda pid: {0, 1}
 gapstats._SHARE_FLOOR = 1 << 12
 parent, fold = os.getpid(), gapstats._fold_range
@@ -469,7 +532,10 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_sigterm_stops_a_split_sweep_and_its_forked_share(tmp_path):
+def stop_a_stalled_split_sweep(tmp_path, stop) -> tuple[int, str]:
+    """Run STALLED_SPLIT_SWEEP in a session of its own, call stop(proc, share_pid) once its
+    forked share stalls, and return its exit code and stderr; the share must be gone and
+    --out untouched."""
     path = tmp_path / "moments.csv"
     path.write_text("earlier report\n", encoding="ascii")
     argv = ["moments", "--limit", "20000", "--out", str(path)]
@@ -479,12 +545,13 @@ def test_sigterm_stops_a_split_sweep_and_its_forked_share(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
         env=package_env(),
+        start_new_session=True,
     )
     child = None
     try:
         child = int(proc.stdout.readline())
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 143  # 128 + SIGTERM, as a shell reports a TERM
+        stop(proc, child)
+        code = proc.wait(timeout=10)
         with pytest.raises(ProcessLookupError):  # killed and reaped before the parent left
             os.kill(child, 0)
     finally:  # the child first: a stray one would hold the pipe open for a minute
@@ -492,5 +559,23 @@ def test_sigterm_stops_a_split_sweep_and_its_forked_share(tmp_path):
             with contextlib.suppress(ProcessLookupError):
                 os.kill(child, signal.SIGKILL)
         proc.kill()
-        proc.communicate()
+        err = proc.communicate()[1]
     assert path.read_text(encoding="ascii") == "earlier report\n"
+    return code, err
+
+
+def test_sigterm_stops_a_split_sweep_and_its_forked_share(tmp_path):
+    code, _ = stop_a_stalled_split_sweep(tmp_path, lambda proc, _: proc.send_signal(signal.SIGTERM))
+    assert code == 143  # 128 + SIGTERM, as a shell reports a TERM
+
+
+def test_ctrl_c_stops_a_split_sweep_quietly(tmp_path):
+    def ctrl_c(proc, share):
+        os.kill(share, signal.SIGINT)  # held back: a share that took it would die and fail the run
+        time.sleep(0.2)
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)  # as a terminal sends it, to the whole foreground group
+
+    code, err = stop_a_stalled_split_sweep(tmp_path, ctrl_c)
+    assert code == 130  # 128 + SIGINT, as a shell reports a Ctrl-C
+    assert err == ""  # no KeyboardInterrupt traceback, from the parent or the share

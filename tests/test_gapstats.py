@@ -103,12 +103,6 @@ def use_cpus(monkeypatch, count: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-@pytest.fixture
-def small_shares(monkeypatch):
-    monkeypatch.setattr(gapstats, "_SHARE_FLOOR", 1 << 12)
-    use_cpus(monkeypatch, 3)
-
-
 def sieved_widths(monkeypatch) -> list[int]:
     """The width of every segment gapstats sieves in this process: each
     segment of a sweep's walks and each of the bracket's windows."""

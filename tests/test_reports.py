@@ -76,11 +76,9 @@ def test_format_value_rules():
 def test_run_config_header_contents():
     # _write_csv writes it as the report's first line, after "# "
     assert _config(1 << 20, BoundaryRule.STRICT, False, (1, 2)) == (
-        "limit=1048576 rule=strict include_first=false ks=1,2 segment_size=1048576"
+        "limit=1048576 rule=strict include_first=false ks=1,2"
     )
-    bare = _config(100, BoundaryRule.INCLUSIVE, True)
-    assert bare.startswith("limit=100 rule=inclusive include_first=true")
-    assert "ks=" not in bare
+    assert _config(100, BoundaryRule.INCLUSIVE, True) == "limit=100 rule=inclusive include_first=true"
 
 
 def test_budget_guard():

@@ -94,8 +94,8 @@ def test_segment_concatenation_is_complete(oracle_primes_1e6, segment_width):
 
 
 def test_segments_partition_the_range(segment_width):
-    # at the shipped constant every segment but the last is exactly as wide as
-    # the '#' header's segment_size= says
+    # at the shipped constant every segment but the last is DEFAULT_SEGMENT_SIZE
+    # wide; no report names the width
     for lo in (2, 3, 2**40 + 5):
         bound = lo + 2 * DEFAULT_SEGMENT_SIZE + 12345
         segs = list(iter_prime_segments(lo, bound, base_for(bound)))
@@ -284,6 +284,21 @@ def test_window_cuts_concatenate_to_the_same_primes(cuts):
     edges = [lo, *sorted(lo + c for c in cuts), hi]
     parts = [sieve_segment(a, b, base).primes for a, b in zip(edges, edges[1:])]
     assert np.concatenate(parts).tolist() == sieve_segment(lo, hi, base).primes.tolist()
+
+
+# base_2p24 is base_for(2^48 + 2^16): every walk below is a 2^16 span from a lo in
+# [2^44, 2^48], in windows from 4096 to 2^20 wide.  The slowest example, 4096-wide
+# windows at 2^48, takes about 0.16 s.
+@settings(max_examples=6, deadline=None)
+@given(lo=st.integers(2**44, 2**48), width=st.sampled_from([2**12, 2**14, 2**16, 2**20]))
+def test_a_walk_at_height_partitions_its_span_into_one_windows_primes(lo, width, base_2p24):
+    hi = lo + 2**16
+    with pytest.MonkeyPatch.context() as walk_windows_of:
+        walk_windows_of.setattr(sieve, "DEFAULT_SEGMENT_SIZE", width)
+        segs = list(iter_prime_segments(lo, hi, base_2p24))
+    assert [(seg.lo, seg.hi) for seg in segs] == [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+    got = np.concatenate([seg.primes for seg in segs])
+    assert got.tolist() == sieve_segment(lo, hi, base_2p24).primes.tolist()
 
 
 # Full 2^20 windows are where base primes above sieve._LOOP_PRIME_LIMIT hit
