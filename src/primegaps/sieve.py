@@ -1,30 +1,25 @@
 """Segmented sieve of Eratosthenes.
 
-sieve_segment is the one marking kernel: it sieves an odd-only boolean
-mask of one window, so a segment of 2**20 numbers costs half a megabyte
-and never touches memory proportional to the overall limit.  One start
-rule, one in-place modulo per prime and exact to 2**63 - 1 (the cap on
-every limit), gives every odd base prime its first index.  Primes up to
-_LOOP_PRIME_LIMIT clear a strided slice each; larger ones below the
-window's odd count share one stride loop that drops each prime once it
-leaves the window (as in Oliveira e Silva, Herzog and Pardi, 2014); the
-rest hit the window at most once and are marked in one store (picked by
-compress, a third of a boolean index's cost).  The start is each prime's
-first odd multiple in the window, so a base prime inside the window
-strikes itself; one store after all marking restores those.  Past e^20,
-where under a tenth of the odd slots are prime, np.flatnonzero takes a
-slow loop: a tail of True slots lifts the mask past 0.1 and is cut off.
-Each query builds its base once, base_for(bound): the primes <= isqrt(bound - 1)
-from simple_sieve, which starts from a read-only table of the primes <=
-isqrt(isqrt(2**63 - 1)) built once per process by the same kernel, so no
-sieve recurses more than one level.  iter_prime_segments walks [lo, hi) over
-the base it is given in DEFAULT_SEGMENT_SIZE windows, which never changes a
-prime.  Gap statistics are folded from the segments' prime arrays in gapstats.
+_mark is the one marking step: it checks a window and sieves its odd-only
+boolean mask, half a megabyte for 2**20 numbers wherever the window lies.
+Each odd base prime gets its first index from one start rule, one in-place
+modulo exact to 2**63 - 1 (the cap on every limit).  Primes up to
+_LOOP_PRIME_LIMIT clear a strided slice each, larger ones below the window's
+odd count share one stride loop (as in Oliveira e Silva, Herzog and Pardi,
+2014), and one store marks the rest, which hit the window at most once.
+Primes are listed only where a caller reads them: sieve_segment turns a mask
+into primes, prime_count counts each window's mask and nth_prime lists only
+the window that holds p_n.  _windows is the one walk, in DEFAULT_SEGMENT_SIZE
+windows read at each step, for iter_prime_segments and the counts alike.
+Each query builds its base once, base_for(bound), from a read-only table of
+the primes <= isqrt(isqrt(2**63 - 1)) built once per process, so no sieve
+recurses more than one level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -81,9 +76,9 @@ class PrimeSegment:
         self.primes.setflags(write=False)
 
 
-def _check_limit(x: int) -> None:
+def _check_limit(x: int, name: str = "limit") -> None:
     if x > MAX_LIMIT:
-        raise ValueError(f"limit {x} exceeds supported range 2**63 - 1")
+        raise ValueError(f"{name} {x} exceeds supported range 2**63 - 1")
 
 
 def base_for(bound: int) -> np.ndarray:
@@ -157,12 +152,9 @@ def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
     return i
 
 
-def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
-    """Sieve the window [lo, hi) using precomputed base primes.
-
-    base_primes must contain every prime <= isqrt(hi - 1), ascending.
-    The primes keep nothing else alive: no mask and no padded index array.
-    """
+def _mark(lo: int, hi: int, base_primes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Check the window, then mark it: buf[:count] is the odd-only mask of [lo, hi), slot i for
+    (lo | 1) + 2 i, and buf's True slots past count (past e^20 alone) are the extraction's pad."""
     if lo < 2:
         raise ValueError(f"segment start {lo} below 2")
     if hi <= lo:
@@ -198,45 +190,73 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
         mask[once.compress(once < count)] = False
         # base primes inside the window struck themselves
         mask[(odd[np.searchsorted(odd, first_odd) :] - first_odd) >> 1] = True
+    return buf, count
+
+
+def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> PrimeSegment:
+    """Sieve the window [lo, hi) with base_primes, every prime <= isqrt(hi - 1) in ascending
+    order.  The primes keep nothing else alive: no mask and no padded index array."""
+    buf, count = _mark(lo, hi, base_primes)
     pad = buf.size - count
     if pad:  # the fewest True slots that keep flatnonzero on its branch-free loop
-        pad = max(0, (count - 10 * int(np.count_nonzero(mask))) // 9 + 1)
+        pad = max(0, (count - 10 * int(np.count_nonzero(buf[:count]))) // 9 + 1)
     odds = np.flatnonzero(buf[: count + pad])
     if pad:  # a copy keeps no pad alive; freeing the mask first keeps malloc from trimming the heap
-        del buf, mask
+        del buf
         odds = odds[:-pad].copy()
     odds *= 2
-    odds += first_odd
+    odds += lo | 1
     if lo <= 2 < hi:
         odds = np.concatenate(([np.int64(2)], odds))
     return PrimeSegment(lo=lo, hi=hi, primes=odds)
 
 
-def iter_prime_segments(lo: int, hi: int, base: np.ndarray) -> Iterator[PrimeSegment]:
-    """Yield consecutive PrimeSegments covering [lo, hi), DEFAULT_SEGMENT_SIZE wide but the last,
-    sieved with the caller's base: every prime <= isqrt(hi - 1), as base_for(hi) builds it."""
+def _windows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi) in consecutive DEFAULT_SEGMENT_SIZE windows (read at each step) but the last."""
     while lo < hi:
         end = min(lo + DEFAULT_SEGMENT_SIZE, hi)
-        yield sieve_segment(lo, end, base)
+        yield lo, end
         lo = end
 
 
+def _count(lo: int, hi: int, base: np.ndarray) -> int:
+    """The number of primes in the window [lo, hi): its marks counted, none listed."""
+    buf, count = _mark(lo, hi, base)
+    return int(np.count_nonzero(buf[:count])) + (lo <= 2 < hi)
+
+
+def iter_prime_segments(lo: int, hi: int, base: np.ndarray) -> Iterator[PrimeSegment]:
+    """Yield consecutive PrimeSegments covering [lo, hi), DEFAULT_SEGMENT_SIZE wide but the last,
+    sieved with the caller's base: every prime <= isqrt(hi - 1), as base_for(hi) builds it."""
+    return (sieve_segment(a, b, base) for a, b in _windows(lo, hi))
+
+
+def _integer(value: object, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
+
+
 def prime_count(x: int) -> int:
-    """pi(x): number of primes <= x."""
-    return sum(seg.primes.size for seg in iter_prime_segments(2, x + 1, base_for(x + 1)))
+    """pi(x): number of primes <= x, each window's marks counted and no prime listed."""
+    bound = _integer(x, "limit") + 1
+    base = base_for(bound)
+    return sum(_count(lo, hi, base) for lo, hi in _windows(2, bound))
 
 
 def nth_prime(n: int) -> int:
-    """The n-th prime, 1-indexed: nth_prime(1) = 2."""
+    """The n-th prime, 1-indexed (nth_prime(1) = 2); of the windows counted only p_n's is listed."""
+    n = _integer(n, "prime index")
     if n < 1:
         raise ValueError(f"prime index {n} must be >= 1")
-    # p_m < m (log m + log log m) for m >= 6, and p_n <= p_m for n <= m
+    # p_n <= p_m <= m (log m + log log m - c), c = 0 from m = 6 (Rosser), 0.9484 from 39017 (Dusart)
     m = max(n, 6)
-    ln = math.log(m)
-    bound = int(m * (ln + math.log(ln))) + 1
-    seen = 0
-    for seg in iter_prime_segments(2, bound + 1, base_for(bound + 1)):
-        if seen + seg.primes.size >= n:
-            return int(seg.primes[n - seen - 1])
-        seen += seg.primes.size
-    raise AssertionError("upper bound for nth prime too small")
+    bound = int(m * (math.log(m) + math.log(math.log(m)) - 0.9484 * (m >= 39017))) + 1
+    _check_limit(bound, f"prime index {n}: the bound on p_n")
+    base = base_for(bound + 1)
+    for lo, hi in _windows(2, bound + 1):
+        found = _count(lo, hi, base) if hi <= bound else n  # the bound puts p_n in the last window
+        if found >= n:
+            return int(sieve_segment(lo, hi, base).primes[n - 1])
+        n -= found

@@ -311,8 +311,10 @@ def test_a_split_sweep_builds_its_base_in_the_parent_alone(small_shares, monkeyp
         (lambda: gap_statistics_at([1000, 6666, 20000]), 20000),
         (lambda: interval_gap_bracket(2**32, 2**32 + 2**24), 2**32 + 2**24 + 1 + gapstats._GAP_WINDOW),
         (lambda: sieve.prime_count(10**6), 10**6 + 1),
+        # nth_prime walks to Dusart's bound on p_n, n (log n + log log n - 0.9484), and one past it
+        (lambda: sieve.nth_prime(10**5), int(10**5 * (math.log(10**5 * math.log(10**5)) - 0.9484)) + 2),
     ],
-    ids=["sweep-of-three-ranges", "bracket-of-two-spans", "prime-count"],
+    ids=["sweep-of-three-ranges", "bracket-of-two-spans", "prime-count", "nth-prime"],
 )
 def test_a_query_builds_one_base(query, bound, monkeypatch):
     # every simple_sieve call, a base's own base included

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -130,6 +132,8 @@ def test_simple_sieve_inclusive_boundary():
     [
         (1, 2), (2, 3), (3, 5), (4, 7), (5, 11), (6, 13), (7, 17),
         (25, 97), (168, 997), (217, 1327), (1000, 7919), (3512, 32749),
+        # Dusart's bound on p_n holds from n = 39017 on; a walk to it would stop short of p_38708
+        (38708, 463447), (39017, 467473), (10**6, 15485863),
     ],
 )
 def test_nth_prime_spot_values(n, p):
@@ -139,6 +143,68 @@ def test_nth_prime_spot_values(n, p):
 def test_nth_prime_rejects_nonpositive_index():
     with pytest.raises(ValueError):
         nth_prime(0)
+
+
+@pytest.mark.parametrize(
+    "query, value, name",
+    [(prime_count, 7.9, "limit"), (prime_count, "100", "limit"), (prime_count, 100.0, "limit"),
+     (nth_prime, 2.5, "prime index"), (nth_prime, None, "prime index")],
+)
+def test_counts_refuse_a_non_integer_and_name_it(query, value, name):
+    with pytest.raises(TypeError, match=rf"^{name} {re.escape(repr(value))} is not an integer$"):
+        query(value)
+
+
+def test_counts_take_any_integer_type():
+    # as a Python int: np.uint8(255) + 1 would wrap to 0
+    assert prime_count(np.uint8(255)) == 54
+    assert prime_count(np.int64(100)) == 25
+    assert nth_prime(np.int32(25)) == 97
+
+
+@pytest.fixture(scope="module")
+def oracle_primes_2p20() -> list[int]:
+    # past the prime after 2^20 + 2, the last number the walks below count to
+    return oracles.naive_primes(DEFAULT_SEGMENT_SIZE + 2**10)
+
+
+# Windows start at 2, so window j is [2 + j w, 2 + (j + 1) w) and its last number
+# is 1 + (j + 1) w.  x stays within 2^10 windows of 2, so 16-wide windows reach
+# 16384 and the others 2 * 10^5; the slowest example, five walks of about 1300
+# 16-wide windows, takes about 0.4 s.
+@settings(max_examples=6, deadline=None)
+@given(width_and_x=st.sampled_from([16, 64, 1000, DEFAULT_SEGMENT_SIZE]).flatmap(
+    lambda width: st.tuples(st.just(width), st.integers(-2, min(2 * 10**5, 2**10 * width)))))
+def test_counts_in_any_windows_match_the_oracle(width_and_x, oracle_primes_2p20):
+    width, x = width_and_x
+    end = 2 + (max(x - 2, 0) // width + 1) * width  # the first number past x's window
+    pi = {y: bisect.bisect_right(oracle_primes_2p20, y) for y in (x, end - 1, end)}
+    indices = {1, 2, pi[x] - 1, pi[x]} - {-1, 0}
+    with pytest.MonkeyPatch.context() as walk_windows_of:
+        walk_windows_of.setattr(sieve, "DEFAULT_SEGMENT_SIZE", width)
+        counts = {y: prime_count(y) for y in pi}
+        nth = {k: nth_prime(k) for k in indices}
+    assert counts == pi
+    assert nth == {k: oracle_primes_2p20[k - 1] for k in indices}
+
+
+@pytest.mark.parametrize("width, n, p", [(1000, 9592, 99991), (DEFAULT_SEGMENT_SIZE, 78498, 999983),
+                                         (DEFAULT_SEGMENT_SIZE, 25, 97)])
+def test_a_count_lists_no_prime_and_an_nth_prime_one_window(width, n, p, monkeypatch, segment_width):
+    # p_n lies in a window before the last one of nth_prime's walk in the first two cases
+    listed, extract = [], sieve.sieve_segment
+
+    def logged(lo, hi, base):
+        listed.append((lo, hi))
+        return extract(lo, hi, base)
+
+    monkeypatch.setattr(sieve, "sieve_segment", logged)
+    segment_width(width)
+    assert prime_count(p) == n
+    assert listed == []
+    assert nth_prime(n) == p
+    [(lo, hi)] = listed
+    assert lo <= p < hi
 
 
 def test_sieve_segment_input_validation():
@@ -173,7 +239,8 @@ def test_limit_cap_enforced(monkeypatch):
         simple_sieve(MAX_LIMIT + 1)
     with pytest.raises(ValueError, match=rf"^limit {2**63} exceeds supported range"):
         prime_count(2**63)
-    with pytest.raises(ValueError, match="exceeds supported range"):
+    named = rf"^prime index {10**18}: the bound on p_n \d+ exceeds supported range"
+    with pytest.raises(ValueError, match=named):
         nth_prime(10**18)  # p_n lies past 2^63, a bound refused before any base is built
 
 
@@ -317,6 +384,14 @@ def test_full_window_matches_the_per_prime_loop(height, base_2p24):
     hi = lo + DEFAULT_SEGMENT_SIZE
     got = sieve_segment(lo, hi, base_2p24).primes.tolist()
     assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+@pytest.mark.parametrize("height", [2, *_SWITCH_HEIGHTS.values()], ids=["2", *_SWITCH_HEIGHTS])
+def test_a_windows_count_leaves_out_the_pad(height, base_2p24):
+    # prime_count and nth_prime count the marks that sieve_segment lists
+    lo = height + (height > 2) * 12345
+    hi = lo + DEFAULT_SEGMENT_SIZE
+    assert sieve._count(lo, hi, base_2p24) == sieve_segment(lo, hi, base_2p24).primes.size
 
 
 @pytest.mark.parametrize("height", list(_SWITCH_HEIGHTS.values()), ids=list(_SWITCH_HEIGHTS))
