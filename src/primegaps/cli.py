@@ -48,9 +48,9 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"moment orders {text!r}: expected comma-separated integers")
+        raise argparse.ArgumentTypeError(f"moment orders {text!r}: expected comma-separated integers")
     if any(k < 1 for k in ks) or len(set(ks)) < len(ks):
-        raise ValueError(f"moment orders must be positive and distinct, got {text!r}")
+        raise argparse.ArgumentTypeError(f"moment orders must be positive and distinct, got {text!r}")
     return ks
 
 
@@ -68,11 +68,13 @@ def _output(path: str | None):
 
 
 def _run_report(args: argparse.Namespace, out: TextIO) -> int:
-    """Parse the limits (a comma list for table1 alone), refuse a run whose widest plan
-    (2 to the largest limit) is over budget, then hand out and the limits to args.report."""
-    texts = args.limit.split(",") if args.report is _table1 else [args.limit]
-    limits = [parse_limit(text) for text in texts]
-    plan = plan_sweep(limits, BoundaryRule.INCLUSIVE, include_first=True)
+    """Parse the limits (table1's a comma list of powers of two), refuse a run whose widest
+    plan (2 to the largest limit) is over budget, then hand out and the limits to args.report."""
+    if args.report is _table1:
+        limits = [reports.table1_limit(parse_limit(text)) for text in args.limit.split(",")]
+    else:
+        limits = [parse_limit(args.limit)]
+    plan = plan_sweep(limits, BoundaryRule.INCLUSIVE, start=2)
     reports.check_budget(plan, args.budget_seconds, args.force)
     return args.report(args, out, limits)
 
@@ -83,8 +85,7 @@ def _taus(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
 
 
 def _moments(args: argparse.Namespace, out: TextIO, limits: list[int]) -> int:
-    ks = _parse_ks(args.k)
-    reports.write_figure_moments(out, limits[0], BoundaryRule(args.rule), args.include_first, ks)
+    reports.write_figure_moments(out, limits[0], BoundaryRule(args.rule), args.include_first, args.k)
     return 0
 
 
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--include-first", dest="include_first", action="store_true",
                        help="include the unique odd first gap d_1 = 1")
     group.add_argument("--exclude-first", dest="include_first", action="store_false")
-    p.add_argument("--k", default="1,2,3,4", help="comma-separated moment orders")
+    p.add_argument("--k", type=_parse_ks, default="1,2,3,4", help="comma-separated moment orders")
     _add_run_flags(p, _moments, "sieve limit, decimal or 2^t")
 
     p = sub.add_parser("maximal-gaps", help="record gaps up to a limit (CSV)")

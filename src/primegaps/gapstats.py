@@ -26,7 +26,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit
+from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit, _integer
 from .sieve import base_for, iter_prime_segments, sieve_segment
 
 __all__ = [
@@ -142,7 +142,8 @@ def merge(left: GapAccumulator, right: GapAccumulator) -> GapAccumulator:
 
 
 def power_sum(acc: GapAccumulator, k: int) -> int:
-    """Exact S_k = sum of d^k over all accumulated gaps (k = 0 gives n)."""
+    """Exact S_k = sum of d^k over all accumulated gaps (k = 0 gives n), for any integer k."""
+    k = _integer(k, "moment order")
     if k < 0:
         raise ValueError(f"power {k} must be >= 0")
     return sum(d**k * c for d, c in acc.counts.items())
@@ -167,7 +168,7 @@ class MomentSummary:
 
 
 def moments(acc: GapAccumulator, ks: Iterable[int]) -> MomentSummary:
-    orders = sorted(set(ks))
+    orders = sorted({_integer(k, "moment order") for k in ks})
     if not orders:
         raise ValueError("no moment orders requested")
     if any(k < 0 for k in orders):
@@ -266,25 +267,23 @@ def _fold_shares(shares: list[list[tuple[int, int]]], base: np.ndarray) -> list[
 def plan_sweep(
     limits: Iterable[int],
     rule: BoundaryRule = BoundaryRule.STRICT,
-    include_first: bool = False,
+    start: int = 2,
 ) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """One sweep's layout: each limit's bound, in the caller's order, and the ranges that
     partition [start, top) in shares.  A bound is the limit under STRICT, limit + 1 under
-    INCLUSIVE.  The sweep starts at 2, or at 4 with include_first=False: no gap ending at
-    4 or later is d_1 = 1.  Limits lie in [3, 2**63 - 1], in any order, repeats allowed,
-    checked before any base or fork.  The top is cut at every bound and at top * i // count
-    for 0 < i < count, the share count at most one per usable CPU (as taskset sets them)
-    and per _SHARE_FLOOR numbers."""
-    limits = list(limits)
+    INCLUSIVE, at least start.  Limits are integers in [3, 2**63 - 1], in any order, repeats
+    allowed, checked before any base or fork.  The span is cut at every bound and at start +
+    (top - start) * i // count for 0 < i < count: at most one share per usable CPU (as taskset
+    sets them), each share of a split span holding _SHARE_FLOOR numbers or more."""
+    limits = [_integer(limit, "limit") for limit in limits]
     if any(limit < 3 for limit in limits):
         raise ValueError(f"limits must be at least 3 (no gap lies below 3), got {limits}")
     _check_limit(max(limits, default=3))
-    start = 2 if include_first else 4
     bounds = [max(start, limit if rule is BoundaryRule.STRICT else limit + 1) for limit in limits]
     top = max(bounds, default=start)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = max(1, min(cpus, top // _SHARE_FLOOR))
-    cuts = [top * i // count for i in range(1, count)]
+    count = max(1, min(cpus, (top - start) // _SHARE_FLOOR))
+    cuts = [start + (top - start) * i // count for i in range(1, count)]
     ranges = list(pairwise(sorted({start, *bounds, *cuts})))
     return bounds, [[r for r in ranges if lo <= r[0] < hi] for lo, hi in pairwise([start, *cuts, top])]
 
@@ -297,10 +296,11 @@ def gap_statistics_at(
     """The accumulator of every gap below each limit, a list in the caller's order, folded
     over plan_sweep's shares (all but the first in forked children) with one base for the
     top.  Each range is folded from index 1; merge checks every join and renumbers each range
-    to follow the seed, an empty accumulator placed at index 1, or at 2 with d_1 left out."""
-    bounds, shares = plan_sweep(limits, rule, include_first)
+    to follow the seed, an empty accumulator placed at the sweep's first index."""
+    start, first = (2, 1) if include_first else (4, 2)  # no gap ending at 4 or later is d_1 = 1
+    bounds, shares = plan_sweep(limits, rule, start)
     folds = _fold_shares(shares, base_for(max(bounds, default=2)))
-    total = seed = GapAccumulator(1 if include_first else 2)
+    total = seed = GapAccumulator(first)
     at = {}
     for (_, hi), acc in zip(chain.from_iterable(shares), folds):
         total = at[hi] = merge(total, acc)
@@ -337,6 +337,7 @@ def interval_gap_bracket(a: int, b: int) -> tuple[int, int, int]:
     _GAP_WINDOW past a and _GAP_WINDOW on each side of b, one window each
     over one base.  b and nextprime(b) must both lie in the supported range.
     """
+    a, b = _integer(a, "a"), _integer(b, "b")
     if not 2 < a < b:
         raise ValueError(f"need 2 < a < b, got ({a}, {b})")
     _check_limit(b)

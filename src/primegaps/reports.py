@@ -28,6 +28,7 @@ __all__ = [
     "format_value",
     "estimate_seconds",
     "check_budget",
+    "table1_limit",
     "table1_rows",
     "write_table1",
     "table2_rows",
@@ -118,15 +119,19 @@ def check_budget(plan: tuple[list, list[list[tuple[int, int]]]], budget: float, 
 _TABLE1_KS = (1, 2, 3, 4)  # ascending, the order of MomentSummary.moments
 
 
+def table1_limit(limit: int) -> int:
+    """A table 1 limit is a power of two, 2^t with t its row's first column."""
+    if limit != 1 << (limit.bit_length() - 1):
+        raise ValueError(f"limit {limit} is not a power of two")
+    return limit
+
+
 def table1_rows(limits: list[int]) -> list[tuple]:
     """(t, n, mu_1, mu_2, mu_3, mu_4, G_n) per power-of-two limit.
 
     One sweep up to the largest limit serves every row, in the caller's order.
     """
-    for limit in limits:
-        if limit != 1 << (limit.bit_length() - 1):
-            raise ValueError(f"limit {limit} is not a power of two")
-    sweep = gap_statistics_at(limits, BoundaryRule.STRICT, include_first=False)
+    sweep = gap_statistics_at(map(table1_limit, limits), BoundaryRule.STRICT, include_first=False)
     return [
         (limit.bit_length() - 1, acc.n, *moments(acc, _TABLE1_KS).moments.values(), acc.overall_max)
         for limit, acc in zip(limits, sweep)

@@ -184,10 +184,37 @@ def test_moments_respects_rule_and_k_flags(tmp_path):
 
 
 def test_bad_moment_orders_are_usage_errors(capsys):
-    assert main(["moments", "--limit", "1000", "--k", "a,b"]) == 2
-    assert main(["moments", "--limit", "1000", "--k", "0"]) == 2
-    assert main(["moments", "--limit", "1000", "--k", "1,1"]) == 2
+    # --k is parsed with the other flags: argparse's usage error, exit 2
+    for ks in ("a,b", "0", "1,1"):
+        with pytest.raises(SystemExit) as exited:
+            main(["moments", "--limit", "1000", "--k", ks])
+        assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --k: moment orders must be positive and distinct, got '1,1'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--limit", "2^40", "--k", "0"],
+        ["moments", "--limit", "2^40", "--k", "x"],
+        ["table1", "--limit", "1000,2^40"],
+    ],
+    ids=" ".join,
+)
+def test_a_malformed_flag_exits_2_above_the_budget(argv, tmp_path, capsys):
+    # checked before the guard, which refuses the same run with well-formed flags (exit 3)
+    path = tmp_path / "report.txt"
+    path.write_text("kept\n", encoding="ascii")
+    try:
+        code = main(argv + ["--out", str(path)])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 2
     assert capsys.readouterr().out == ""
+    assert path.read_text(encoding="ascii") == "kept\n"
+    assert main([argv[0], "--limit", "2^40"]) == 3
 
 
 @pytest.mark.parametrize("k", ["170", "200"])
@@ -513,7 +540,7 @@ def test_closed_stdout_ends_the_run_quietly(unbuffered, tmp_path, capsys):
     assert "No such file" in capsys.readouterr().err
 
 
-# Two CPUs and 2^12-number shares split `moments --limit 20000` at 10000; the
+# Two CPUs and 2^12-number shares split `moments --limit 20000` at 10002; the
 # forked share prints its pid and stalls, so the parent waits on it.
 STALLED_SPLIT_SWEEP = """
 import os, signal, sys, time

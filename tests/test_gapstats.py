@@ -92,11 +92,12 @@ def test_sweep_yields_gap_statistics_at_every_limit(rule, include_first, segment
 
 # split sweeps: shares folded in forked children and stitched in order
 
-# With 2^12-number shares and three CPUs the sweep to 20000 is cut at 6666
-# and 13333 (6667 and 13334 under INCLUSIVE, whose top is 20001): a limit
-# inside the first share, one on the first cut under both rules, one past it,
-# a repeat, and the prime 13337 just past the second cut.
-SPLIT_LIMITS = [1000, 6666, 6667, 6667, 13337, 20000]
+# With 2^12-number shares and three CPUs the sweep to 20000 is cut at 6669
+# and 13334 from 4 (13335 under INCLUSIVE, whose top is 20001), and at 6668
+# and 13334 from 2: a limit inside the first share, one on the first cut and
+# one past it under each rule and start, a repeat, and the prime 13337 just
+# past the second cut.  The split-sweep test reads these cuts from the plan.
+SPLIT_LIMITS = [1000, 6667, 6668, 6669, 6670, 6670, 13337, 20000]
 
 
 def use_cpus(monkeypatch, count: int) -> None:
@@ -120,6 +121,18 @@ def sieved_widths(monkeypatch) -> list[int]:
     monkeypatch.setattr(gapstats, "iter_prime_segments", counting_walk)
     monkeypatch.setattr(gapstats, "sieve_segment", counting_window)
     return widths
+
+
+def planned(monkeypatch) -> list[tuple[list[int], list[list[tuple[int, int]]]]]:
+    """Every plan laid out in this process, bounds and shares, so a test reads its cuts."""
+    plans, plan = [], gapstats.plan_sweep
+
+    def spy(*args, **kwargs):
+        plans.append(plan(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(gapstats, "plan_sweep", spy)
+    return plans
 
 
 def folds_in_this_process(monkeypatch) -> list[tuple[int, int]]:
@@ -150,7 +163,7 @@ def oracle_accumulator(limit: int, rule: BoundaryRule, include_first: bool) -> G
 @pytest.mark.parametrize("rule", list(BoundaryRule))
 @pytest.mark.parametrize("include_first", [True, False])
 def test_sweep_answers_limits_in_the_callers_order(rule, include_first, small_shares):
-    shuffled = [13337, 6667, 20000, 1000, 6667, 6666]  # SPLIT_LIMITS, repeat kept
+    shuffled = [13337, 6669, 20000, 6667, 1000, 6670, 6668, 6670]  # SPLIT_LIMITS, repeat kept
     assert sorted(shuffled) == SPLIT_LIMITS
     sweep = gap_statistics_at(iter(shuffled), rule, include_first)
     assert isinstance(sweep, list)
@@ -216,17 +229,16 @@ def test_sweep_equals_the_oracle_on_random_limits(
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    limits=st.lists(st.integers(3, 10**7), max_size=6),
+    limits=st.lists(st.integers(3, 2 * 10**7), max_size=6),
     rule=st.sampled_from(list(BoundaryRule)),
-    include_first=st.booleans(),
+    start=st.integers(2, 10**7),
     cpus=st.integers(1, 8),
     floor=st.sampled_from([1 << 8, 1 << 12, 1 << 20]),
 )
-def test_a_sweep_plan_partitions_its_span_into_shares(limits, rule, include_first, cpus, floor, monkeypatch):
+def test_a_sweep_plan_partitions_its_span_into_shares(limits, rule, start, cpus, floor, monkeypatch):
     use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(gapstats, "_SHARE_FLOOR", floor)
-    bounds, shares = gapstats.plan_sweep(limits, rule, include_first)
-    start = 2 if include_first else 4
+    bounds, shares = gapstats.plan_sweep(limits, rule, start)
     assert bounds == [max(start, limit + (rule is BoundaryRule.INCLUSIVE)) for limit in limits]
     top = max(bounds, default=start)
     ranges = [r for share in shares for r in share]  # the shares in order, each contiguous
@@ -235,7 +247,9 @@ def test_a_sweep_plan_partitions_its_span_into_shares(limits, rule, include_firs
     assert all(lo < hi for lo, hi in ranges)
     assert {bound for bound in bounds if bound > start} <= set(edges[1:])  # each ends a range
     assert all(shares) or not ranges
-    assert len(shares) <= min(cpus, max(1, top // floor))
+    assert len(shares) <= min(cpus, max(1, (top - start) // floor))
+    if len(shares) > 1:  # a split span: every share holds at least floor numbers
+        assert all(share[-1][1] - share[0][0] >= floor for share in shares)
 
 
 def chain_reference(chain: list[int]) -> GapAccumulator:
@@ -257,13 +271,33 @@ def test_a_range_fold_equals_the_oracle_across_empty_segments(lo, span, width, s
     assert gapstats._fold_range(lo, hi, sieve.base_for(hi)) == chain_reference(chain)
 
 
-def test_a_range_fold_at_height_equals_miller_rabin(segment_width):
-    # 4096-number windows: the look-back and the range span five of them
-    segment_width(4096)
+@pytest.fixture(scope="module")
+def height_chain() -> tuple[int, int, list[int]]:
+    """A 2^14 span [lo, hi) at 2^40 + 12345 and its chain by Miller-Rabin: the last
+    prime below lo, then every prime in the span."""
     lo = 2**40 + 12345
     hi = lo + 2**14
-    chain = [oracles.prev_prime(lo - 1)] + [n for n in range(lo | 1, hi, 2) if oracles.is_prime_mr(n)]
+    return lo, hi, [oracles.prev_prime(lo - 1)] + [n for n in range(lo | 1, hi, 2) if oracles.is_prime_mr(n)]
+
+
+def test_a_range_fold_at_height_equals_miller_rabin(height_chain, segment_width):
+    # 4096-number windows: the look-back and the range span five of them
+    segment_width(4096)
+    lo, hi, chain = height_chain
     assert gapstats._fold_range(lo, hi, sieve.base_for(hi)) == chain_reference(chain)
+
+
+def test_a_plan_from_a_start_at_height_folds_across_forked_shares(height_chain, small_shares):
+    # the span laid out from its own start: three shares, two of them folded in children
+    lo, hi, chain = height_chain
+    bounds, shares = gapstats.plan_sweep([hi], BoundaryRule.STRICT, start=lo)
+    assert bounds == [hi] and len(shares) == 3
+    assert all(lo <= a < b <= hi for share in shares for a, b in share)  # [lo, hi) and nothing below
+    total = GapAccumulator(1)
+    for acc in gapstats._fold_shares(shares, sieve.base_for(hi)):
+        total = merge(total, acc)
+    assert total == chain_reference(chain)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))
@@ -271,9 +305,13 @@ def test_a_range_fold_at_height_equals_miller_rabin(segment_width):
 def test_split_sweep_equals_the_in_process_sweep_and_the_oracle(
     rule, include_first, small_shares, monkeypatch
 ):
+    plans = planned(monkeypatch)
     folded_here = folds_in_this_process(monkeypatch)
     split = list(gap_statistics_at(SPLIT_LIMITS, rule, include_first))
-    first_cut = 6666 if rule is BoundaryRule.STRICT else 6667  # 20000 // 3, 20001 // 3
+    [(bounds, shares)] = plans
+    first_cut, second_cut = shares[1][0][0], shares[2][0][0]
+    assert {first_cut, first_cut + 1} <= set(bounds)  # a limit on the first cut, one past it
+    assert oracles.next_prime(second_cut - 1) == 13337  # the prime just past the second cut
     assert max(hi for _, hi in folded_here) == first_cut  # the other shares folded in children
     use_cpus(monkeypatch, 1)
     assert list(gap_statistics_at(SPLIT_LIMITS, rule, include_first)) == split
@@ -284,10 +322,10 @@ def test_split_sweep_equals_the_in_process_sweep_and_the_oracle(
 def test_split_sweep_of_two_full_shares(monkeypatch):
     folded_here = folds_in_this_process(monkeypatch)
     use_cpus(monkeypatch, 2)
-    split = gap_statistics(2**25 + 1)
-    assert folded_here == [(4, 2**24)]  # d_1 left out: the sweep starts at 4
+    split = gap_statistics(2**25 + 4)
+    assert folded_here == [(4, 4 + 2**24)]  # d_1 left out: 2^25 numbers from 4, two full shares
     use_cpus(monkeypatch, 1)
-    assert gap_statistics(2**25 + 1) == split
+    assert gap_statistics(2**25 + 4) == split
 
 
 def test_a_split_sweep_builds_its_base_in_the_parent_alone(small_shares, monkeypatch):
@@ -384,12 +422,14 @@ def test_the_sweep_checks_its_own_seams(mutant, cpus, small_shares, monkeypatch,
         return fold(moved(lo) if lo > 4 else lo, hi, base)  # the first range starts the sweep at 4
 
     monkeypatch.setattr(gapstats, "_fold_range", mutant_fold)
-    cut = 20000 // cpus  # the first join; the range after it folds in a child
+    plans = planned(monkeypatch)
+    with pytest.raises(ValueError) as raised:
+        gap_statistics_at([20000])
+    cut = plans[0][1][1][0][0]  # the first join; the range after it folds in a child
     left_end = oracles.prev_prime(cut - 1)
     right_start = oracles.next_prime(cut - 1) if mutant == "dropped" else oracles.prev_prime(left_end - 1)
     message = f"ranges not adjacent: left ends at prime {left_end}, right starts at prime {right_start}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        gap_statistics_at([20000])
+    assert str(raised.value) == message
     assert cli.main(["moments", "--limit", "20000"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert multiprocessing.active_children() == []
@@ -409,10 +449,13 @@ def killed_in_the_child(monkeypatch) -> None:
 
 def test_a_child_killed_before_its_result_names_its_share(small_shares, monkeypatch):
     killed_in_the_child(monkeypatch)
+    plans = planned(monkeypatch)
     start = time.monotonic()
-    with pytest.raises(ChildProcessError, match=r"share \[6666, 13333\) ended with exit code -9"):
+    with pytest.raises(ChildProcessError) as raised:
         gap_statistics_at(SPLIT_LIMITS)
     assert time.monotonic() - start < 30
+    share = plans[0][1][1]  # the first share folded in a child
+    assert str(raised.value) == f"share [{share[0][0]}, {share[-1][1]}) ended with exit code -9"
     assert multiprocessing.active_children() == []
 
 
@@ -438,6 +481,7 @@ def test_a_daemonic_worker_folds_its_sweep_in_process(small_shares):
 def test_sweep_folds_in_process_while_a_second_thread_is_alive(small_shares, monkeypatch):
     # a fork would copy the other thread's locks in whatever state they are
     widths = sieved_widths(monkeypatch)
+    plans = planned(monkeypatch)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -448,12 +492,13 @@ def test_sweep_folds_in_process_while_a_second_thread_is_alive(small_shares, mon
         other.join(timeout=10)
     assert not other.is_alive()
     # every range was sieved here, each from _GAP_WINDOW below its start (not below 2)
-    window = gapstats._GAP_WINDOW
-    ranges = [(4, 6666), (6666, 13333), (13333, 20000)]
-    assert sum(widths) == sum(hi - max(2, lo - window) for lo, hi in ranges)
+    window, shares = gapstats._GAP_WINDOW, plans[0][1]
+    assert len(shares) == 3
+    assert sum(widths) == sum(hi - max(2, lo - window) for share in shares for lo, hi in share)
     widths.clear()
     assert gap_statistics(20000) == threaded
-    assert sum(widths) == 6666 - 2  # alone, this process sieves its own share only
+    # alone, this process sieves its own share only
+    assert sum(widths) == sum(hi - max(2, lo - window) for lo, hi in shares[0])
 
 
 def test_histogram_totals_on_random_limits(oracle_primes_1e6):
@@ -690,6 +735,45 @@ def test_moments_input_validation(acc_100k):
         moments(acc_100k, [-1])
     with pytest.raises(ValueError):
         moments(GapAccumulator(), [1])
+
+
+# A numpy integer must give the Python-int result: an int64 power overflows
+# silently, and an int32 limit + 1 wraps to -2^31.
+INTEGER_TYPES = [int, np.int32, np.int64, np.uint64]
+
+
+@pytest.mark.parametrize("kind", INTEGER_TYPES, ids=lambda kind: kind.__name__)
+def test_any_integer_type_gives_the_python_int_results(kind, acc_100k):
+    summary = moments(acc_100k, [kind(20), kind(1)])
+    assert summary == moments(acc_100k, [20, 1])
+    assert all(type(k) is int and type(s) is int for k, s in summary.power_sums.items())
+    assert power_sum(acc_100k, kind(20)) == power_sum(acc_100k, 20)
+    assert gap_statistics(kind(10**4), BoundaryRule.INCLUSIVE) == gap_statistics(10**4, BoundaryRule.INCLUSIVE)
+    bounds, shares = gapstats.plan_sweep([kind(2**31 - 1)], BoundaryRule.INCLUSIVE)  # no base, no sieve
+    assert bounds == [2**31] and shares[-1][-1][1] == 2**31
+    bracket = interval_gap_bracket(kind(10), kind(100))
+    assert bracket == interval_gap_bracket(10, 100) == (86, 90, 90)
+    assert all(type(value) is int for value in bracket)
+
+
+def test_a_narrow_integer_type_brackets_as_a_python_int():
+    assert interval_gap_bracket(np.uint8(10), np.uint8(100)) == (86, 90, 90)
+
+
+@pytest.mark.parametrize("value", [1.5, 20.0, np.float64(20), "20"], ids=repr)
+def test_a_non_integer_argument_is_refused_by_name(value, acc_100k):
+    with pytest.raises(TypeError, match="^moment order .* is not an integer$"):
+        moments(acc_100k, [1, value])
+    with pytest.raises(TypeError, match="^moment order .* is not an integer$"):
+        power_sum(acc_100k, value)
+    with pytest.raises(TypeError, match="^limit .* is not an integer$"):
+        gap_statistics(value)
+    with pytest.raises(TypeError, match="^limit .* is not an integer$"):
+        gap_statistics_at([1000, value])
+    with pytest.raises(TypeError, match="^a .* is not an integer$"):
+        interval_gap_bracket(value, 1000)
+    with pytest.raises(TypeError, match="^b .* is not an integer$"):
+        interval_gap_bracket(3, value)
 
 
 def test_histogram_validate_rejects_bad_shapes(tmp_path):

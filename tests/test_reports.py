@@ -84,9 +84,9 @@ def test_run_config_header_contents():
 def test_budget_guard():
     # a plan is priced by the numbers its ranges hold: 2 to 10^13 inclusive is 10^13 - 1
     assert estimate_seconds(int(ESTIMATED_NUMBERS_PER_SECOND)) == pytest.approx(1.0)
-    plan = gapstats.plan_sweep([10**6], BoundaryRule.INCLUSIVE, include_first=True)
+    plan = gapstats.plan_sweep([10**6], BoundaryRule.INCLUSIVE, start=2)
     check_budget(plan, DEFAULT_BUDGET_SECONDS, force=False)
-    plan = gapstats.plan_sweep([10**13], BoundaryRule.INCLUSIVE, include_first=True)
+    plan = gapstats.plan_sweep([10**13], BoundaryRule.INCLUSIVE, start=2)
     with pytest.raises(BudgetExceeded) as exc_info:
         check_budget(plan, 600.0, force=False)
     assert exc_info.value.estimate == estimate_seconds(10**13 - 1)
