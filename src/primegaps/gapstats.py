@@ -1,16 +1,16 @@
 """Gap statistics: histograms, exact power sums, moments, record gaps.
 
-Accumulators form a monoid under merge, so a sweep is split into contiguous
-ranges, folded independently (long sweeps in forked children, one share per
-usable CPU) and joined in order, each at the prime where the one before it
-ends, which merge alone checks.  A range owns the gaps whose upper prime
-lies in it, as in the windows of Oliveira e Silva, Herzog and Pardi (2014),
-so where the cuts and the sieve's segments fall never changes a statistic.
-plan_sweep lays out every sweep, its limits checked before any base or fork;
-one sweep answers limits in any order, a list in the caller's order.
-Power sums are plain Python integers and therefore exact at any k;
-each moment, the mean, the variance and the Taylor ratio is one
-correctly rounded true division of two exact integers.
+Accumulators form a monoid under merge, so a sweep is split into contiguous ranges, folded
+independently (long sweeps in forked children, one share per usable CPU) and joined in order,
+each at the prime where the one before it ends, which merge alone checks.  A range owns the gaps
+whose upper prime lies in it, as in the windows of Oliveira e Silva, Herzog and Pardi (2014), so
+where the cuts and the sieve's segments fall never changes a statistic.  A range is folded from
+each window's mask: its half-gaps, the odd slots' differences, go to one bincount, and only a
+window that may hold a record lists its primes.  plan_sweep lays out every sweep, its limits
+checked before any base or fork; one sweep answers limits in any order, a list in the caller's
+order.  Power sums are plain Python integers and therefore exact at any k; each moment, the
+mean, the variance and the Taylor ratio is one correctly rounded true division of two exact
+integers.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit, _integer
-from .sieve import base_for, iter_prime_segments, sieve_segment
+from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, BoundaryRule, _check_limit, _integer, _mark
+from .sieve import _windows, base_for, sieve_segment
 
 __all__ = [
     "MaxGapRecord",
@@ -90,10 +90,10 @@ class GapAccumulator:
     def from_gap_arrays(
         cls, first_index: int, gaps: np.ndarray, lower_primes: np.ndarray
     ) -> GapAccumulator:
-        """Vectorised bulk constructor for gaps at consecutive indices.
-
-        Records come from a block scan, O(n) on any input: a block after the first
-        whose top beats no earlier block's holds no record, so the running max skips it.
+        """Bulk constructor for gaps at consecutive indices: the sweep's record windows
+        (_fold_range), perfbench's windows at height and the tests build through it.  Records
+        come from a block scan, O(n) on any input: a block after the first whose top beats no
+        earlier block's holds no record, so the running max skips it.
         """
         if gaps.size != lower_primes.size:
             raise ValueError("gaps and lower_primes length mismatch")
@@ -201,15 +201,42 @@ def max_gap_records(acc: GapAccumulator) -> list[MaxGapRecord]:
 
 
 def _fold_range(lo: int, hi: int, base: np.ndarray) -> GapAccumulator:
-    """The gaps whose upper prime lies in [lo, hi), indexed from 1, over the sweep's base.  The
-    walk starts _GAP_WINDOW before lo, so the last prime below lo is its first gap's lower end."""
-    total, last = GapAccumulator(), np.empty(0, dtype=np.int64)
-    for seg in iter_prime_segments(max(2, lo - _GAP_WINDOW), hi, base):
-        chain = np.concatenate((last, seg.primes))  # led by the last prime before the segment, if any
-        last = chain[-1:].copy()
-        chain = chain[max(1, int(np.searchsorted(chain, lo))) - 1 :]  # gaps ending at lo or later
-        total = merge(total, GapAccumulator.from_gap_arrays(1, np.diff(chain), chain[:-1]))
-    return total
+    """The gaps whose upper prime lies in [lo, hi), indexed from 1, read from each window's mask
+    over the sweep's base: the walk starts _GAP_WINDOW before lo, for the prime before lo, and only
+    a window whose largest gap beats the range's best, so may hold a record, lists its primes."""
+    hist = np.zeros(_GAP_WINDOW // 2, dtype=np.int64)  # half-gap -> count: every gap is below it
+    counts, records, n, best, prev, buf = Counter(), [], 0, 0, 2, None  # 2 leads a walk from 2
+    for a, b in _windows(max(2, lo - _GAP_WINDOW), hi):
+        buf, count = _mark(a, b, base, buf)
+        # as in sieve_segment: past e^20, the fewest True slots that keep flatnonzero branch-free
+        pad = buf.size - count and max(0, (count - 10 * int(np.count_nonzero(buf[:count]))) // 9 + 1)
+        slots, odd = np.flatnonzero(buf[: count + pad])[: -pad or None], a | 1
+        cut = int(np.searchsorted(slots, (lo - odd + 1) >> 1))  # slots below cut hold primes < lo
+        if cut:  # the last prime below lo leads the range's first gap
+            prev, slots = odd + 2 * int(slots[cut - 1]), slots[cut:]
+        if not slots.size:
+            continue
+        half = np.empty_like(slots)
+        half[0] = slots[0] - ((prev - odd) >> 1)
+        np.subtract(slots[1:], slots[:-1], out=half[1:])
+        last = odd + 2 * int(slots[-1])
+        if not best or 2 * int(half.max()) > best:  # its gaps and lower primes, in place in half and slots
+            gaps = np.left_shift(half, 1, out=half)
+            gaps[0] -= prev == 2  # d_1 = 1
+            slots <<= 1
+            slots += odd
+            slots -= gaps
+            part = GapAccumulator.from_gap_arrays(n + 1, gaps, slots)
+            records += [r for r in part.records if r.gap > best]
+            counts.update(part.counts)
+            best = part.overall_max
+        else:
+            hist += np.bincount(half, minlength=hist.size)
+        n, prev = n + half.size, last
+    seen = np.flatnonzero(hist)
+    counts.update(dict(zip((2 * seen).tolist(), hist[seen].tolist())))
+    # the range's first gap is its first record
+    return GapAccumulator(1, records[0].lower_prime, prev, counts, records) if n else GapAccumulator()
 
 
 def _fold_child(share: list[tuple[int, int]], base: np.ndarray, conn) -> None:

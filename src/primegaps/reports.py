@@ -20,7 +20,7 @@ from .gapstats import (
     max_gap_records,
     moments,
 )
-from .sieve import BoundaryRule, _check_limit
+from .sieve import BoundaryRule, _check_limit, _integer
 
 __all__ = [
     "BudgetExceeded",
@@ -120,7 +120,8 @@ _TABLE1_KS = (1, 2, 3, 4)  # ascending, the order of MomentSummary.moments
 
 
 def table1_limit(limit: int) -> int:
-    """A table 1 limit is a power of two, 2^t with t its row's first column."""
+    """A table 1 limit is a power of two, 2^t with t its row's first column, as a Python int."""
+    limit = _integer(limit, "limit")
     if limit != 1 << (limit.bit_length() - 1):
         raise ValueError(f"limit {limit} is not a power of two")
     return limit
@@ -131,7 +132,8 @@ def table1_rows(limits: list[int]) -> list[tuple]:
 
     One sweep up to the largest limit serves every row, in the caller's order.
     """
-    sweep = gap_statistics_at(map(table1_limit, limits), BoundaryRule.STRICT, include_first=False)
+    limits = [table1_limit(limit) for limit in limits]
+    sweep = gap_statistics_at(limits, BoundaryRule.STRICT, include_first=False)
     return [
         (limit.bit_length() - 1, acc.n, *moments(acc, _TABLE1_KS).moments.values(), acc.overall_max)
         for limit, acc in zip(limits, sweep)

@@ -1,19 +1,17 @@
 """Segmented sieve of Eratosthenes.
 
-_mark is the one marking step: it checks a window and sieves its odd-only
-boolean mask, half a megabyte for 2**20 numbers wherever the window lies.
-Each odd base prime gets its first index from one start rule, one in-place
-modulo exact to 2**63 - 1 (the cap on every limit).  Primes up to
-_LOOP_PRIME_LIMIT clear a strided slice each, larger ones below the window's
-odd count share one stride loop (as in Oliveira e Silva, Herzog and Pardi,
-2014), and one store marks the rest, which hit the window at most once.
-Primes are listed only where a caller reads them: sieve_segment turns a mask
-into primes, prime_count counts each window's mask and nth_prime lists only
-the window that holds p_n.  _windows is the one walk, in DEFAULT_SEGMENT_SIZE
-windows read at each step, for iter_prime_segments and the counts alike.
-Each query builds its base once, base_for(bound), from a read-only table of
-the primes <= isqrt(isqrt(2**63 - 1)) built once per process, so no sieve
-recurses more than one level.
+_mark is the one marking step: it checks a window and sieves its odd-only boolean mask, half a
+megabyte for 2**20 numbers wherever the window lies, into a buffer a walk may pass back.  Each
+odd base prime gets its first index from one start rule, one in-place modulo exact to
+2**63 - 1 (the cap on every limit).  Primes up to _LOOP_PRIME_LIMIT clear a strided slice
+each, larger ones below the window's odd count share one stride loop (as in Oliveira e Silva,
+Herzog and Pardi, 2014), and one store marks the rest, which hit the window at most once.
+Primes are listed only where a caller reads them: sieve_segment turns a mask into primes,
+prime_count counts each window's mask, nth_prime lists only the window that holds p_n, and the
+gap fold (gapstats._fold_range) reads each mask's odd slots.  _windows is the one walk, in
+DEFAULT_SEGMENT_SIZE windows read at each step, for iter_prime_segments, the counts and the
+fold.  Each query builds its base once, base_for(bound), from a read-only table of the primes
+<= isqrt(isqrt(2**63 - 1)) built once per process, so no sieve recurses more than one level.
 """
 
 from __future__ import annotations
@@ -152,9 +150,10 @@ def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
     return i
 
 
-def _mark(lo: int, hi: int, base_primes: np.ndarray) -> tuple[np.ndarray, int]:
+def _mark(lo: int, hi: int, base_primes: np.ndarray, buf: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Check the window, then mark it: buf[:count] is the odd-only mask of [lo, hi), slot i for
-    (lo | 1) + 2 i, and buf's True slots past count (past e^20 alone) are the extraction's pad."""
+    (lo | 1) + 2 i, and buf's True slots past count (past e^20 alone) are the extraction's pad.
+    A walk passes the previous window's buf back, refilled here when it is large enough."""
     if lo < 2:
         raise ValueError(f"segment start {lo} below 2")
     if hi <= lo:
@@ -170,7 +169,9 @@ def _mark(lo: int, hi: int, base_primes: np.ndarray) -> tuple[np.ndarray, int]:
     first_odd = lo | 1
     count = (hi - first_odd + 1) // 2
     # room for a tail of True slots: count // 9 + 1 of them lift even an empty mask past 0.1
-    buf = np.ones(count + (count // 9 + 1 if hi > _SPARSE_FROM else 0), dtype=bool)
+    size = count + (count // 9 + 1 if hi > _SPARSE_FROM else 0)
+    buf = buf[:size] if buf is not None and buf.size >= size else np.empty(size, dtype=bool)
+    buf.fill(True)  # a reused buf spares a fresh mask's page faults in every window
     mask = buf[:count]
     odd = base[np.searchsorted(base, 3) : np.searchsorted(base, need, side="right")]
     if odd.size:

@@ -16,7 +16,7 @@ from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from primegaps import cli, gapstats, sieve
@@ -106,19 +106,19 @@ def use_cpus(monkeypatch, count: int) -> None:
 
 def sieved_widths(monkeypatch) -> list[int]:
     """The width of every segment gapstats sieves in this process: each
-    segment of a sweep's walks and each of the bracket's windows."""
-    widths, walk, window = [], gapstats.iter_prime_segments, gapstats.sieve_segment
+    window of a sweep's walks and each of the bracket's windows."""
+    widths, walk, window = [], gapstats._windows, gapstats.sieve_segment
 
-    def counting_walk(lo, hi, base):
-        for seg in walk(lo, hi, base):
-            widths.append(seg.hi - seg.lo)
-            yield seg
+    def counting_walk(lo, hi):
+        for a, b in walk(lo, hi):
+            widths.append(b - a)
+            yield a, b
 
     def counting_window(lo, hi, base):
         widths.append(hi - lo)
         return window(lo, hi, base)
 
-    monkeypatch.setattr(gapstats, "iter_prime_segments", counting_walk)
+    monkeypatch.setattr(gapstats, "_windows", counting_walk)
     monkeypatch.setattr(gapstats, "sieve_segment", counting_window)
     return widths
 
@@ -298,6 +298,71 @@ def test_a_plan_from_a_start_at_height_folds_across_forked_shares(height_chain, 
         total = merge(total, acc)
     assert total == chain_reference(chain)
     assert multiprocessing.active_children() == []
+
+
+def listing_fold(lo: int, hi: int, base: np.ndarray) -> GapAccumulator:
+    """The range fold that lists each segment's primes and merges one accumulator per
+    segment, as the sweep folded before it read the masks: the mask fold's oracle."""
+    total, last = GapAccumulator(), np.empty(0, dtype=np.int64)
+    for seg in sieve.iter_prime_segments(max(2, lo - gapstats._GAP_WINDOW), hi, base):
+        chain = np.concatenate((last, seg.primes))  # led by the last prime before the segment, if any
+        last = chain[-1:].copy()
+        chain = chain[max(1, int(np.searchsorted(chain, lo))) - 1 :]  # gaps ending at lo or later
+        total = merge(total, GapAccumulator.from_gap_arrays(1, np.diff(chain), chain[:-1]))
+    return total
+
+
+_E20, _HEIGHT = sieve._SPARSE_FROM, 2**40 + 12345
+
+
+@st.composite
+def fold_spans(draw) -> tuple[int, int, int]:
+    """(lo, hi, width): a span in [2, 10^6], one from lo in {2, 3, 4, 5}, one across e^20
+    or the 2^14 span at 2^40 + 12345, each walked in at most about 128 windows."""
+    width = draw(st.sampled_from([64, 4096, 2**20]))
+    reach = 32 * width
+    kind = draw(st.sampled_from(["low", "edge", "e20", "height"] if width > 64 else ["low", "edge", "e20"]))
+    if kind == "low":
+        lo = draw(st.integers(2, 10**6 - 1))
+        return lo, draw(st.integers(lo + 1, min(10**6, lo + 2 * reach))), width
+    if kind == "edge":
+        lo = draw(st.integers(2, 5))
+        return lo, lo + draw(st.integers(1, 3000)), width
+    if kind == "e20":
+        below, above = (draw(st.integers(1, min(2**16, reach))) for _ in range(2))
+        return _E20 - below, _E20 + above, width
+    return _HEIGHT, _HEIGHT + 2**14, width
+
+
+@settings(max_examples=25, deadline=None)
+@given(fold_spans())
+@example((2, 3, 64)).via("the range that holds only 2")
+@example((3, 4, 1)).via("d_1 = 1 alone, in one-number windows")
+@example((_E20 - 2**16, _E20 + 2**16, 4096)).via("a reused buffer grows its pad past e^20")
+@example((_HEIGHT, _HEIGHT + 2**14, 4096)).via("the span at 2^40 + 12345")
+def test_the_mask_fold_equals_the_listing_fold(span):
+    lo, hi, width = span
+    base = sieve.base_for(hi)
+    with pytest.MonkeyPatch.context() as walk_windows_of:
+        walk_windows_of.setattr(sieve, "DEFAULT_SEGMENT_SIZE", width)
+        assert gapstats._fold_range(lo, hi, base) == listing_fold(lo, hi, base)  # every field, n by counts
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    limits=st.lists(st.integers(3, 20000), min_size=1, max_size=4),
+    rule=st.sampled_from(list(BoundaryRule)),
+    include_first=st.booleans(),
+    width=st.sampled_from([64, 4096, 2**20]),
+)
+def test_a_sweep_over_the_mask_fold_equals_one_over_the_listing_fold(limits, rule, include_first, width):
+    # from 2 with d_1 and from 4 without, under each rule: each range's first gap and seam
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "DEFAULT_SEGMENT_SIZE", width)
+        folded = gap_statistics_at(limits, rule, include_first)
+        patch.setattr(gapstats, "_fold_range", listing_fold)
+        listed = gap_statistics_at(limits, rule, include_first)
+    assert folded == listed
 
 
 @pytest.mark.parametrize("rule", list(BoundaryRule))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,6 @@ from primegaps.reports import (
     write_table1,
     write_table2,
 )
-from primegaps.sieve import iter_prime_segments
 
 
 def test_parse_limit_accepts_both_grammars():
@@ -105,19 +105,29 @@ def test_table1_first_row():
 
 
 def test_table1_sieves_up_to_the_largest_limit_once(monkeypatch):
-    sieved = []
+    sieved, walk = [], gapstats._windows
 
-    def counting(lo, hi, base):
-        for seg in iter_prime_segments(lo, hi, base):
-            sieved.append(seg.hi - seg.lo)
-            yield seg
+    def counting(lo, hi):
+        for a, b in walk(lo, hi):
+            sieved.append(b - a)
+            yield a, b
 
-    monkeypatch.setattr(gapstats, "iter_prime_segments", counting)
+    monkeypatch.setattr(gapstats, "_windows", counting)
     rows = table1_rows([1 << 10, 1 << 15, 1 << 20])
     assert [row[0] for row in rows] == [10, 15, 20]
     # each range [lo, hi) sieves [max(2, lo - W), hi): [2, 2^20) once, [2, 2^10)
     # again under the second range's look-back and W numbers under the third's
     assert sum(sieved) == (1 << 20) - 2 + (1 << 10) - 2 + gapstats._GAP_WINDOW
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint64])
+def test_table1_rows_take_any_integer_type(kind):
+    assert table1_rows([kind(1 << 10), kind(1 << 12)]) == table1_rows([1 << 10, 1 << 12])
+
+
+def test_table1_rows_refuse_a_float_limit_by_name():
+    with pytest.raises(TypeError, match=r"limit 1024\.0 is not an integer"):
+        table1_rows([1024.0])
 
 
 def test_table1_rejects_non_power_of_two():
