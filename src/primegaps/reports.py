@@ -122,7 +122,7 @@ _TABLE1_KS = (1, 2, 3, 4)  # ascending, the order of MomentSummary.moments
 def table1_limit(limit: int) -> int:
     """A table 1 limit is a power of two, 2^t with t its row's first column, as a Python int."""
     limit = _integer(limit, "limit")
-    if limit != 1 << (limit.bit_length() - 1):
+    if limit < 1 or limit != 1 << (limit.bit_length() - 1):
         raise ValueError(f"limit {limit} is not a power of two")
     return limit
 

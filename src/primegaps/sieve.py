@@ -1,11 +1,14 @@
 """Segmented sieve of Eratosthenes.
 
 _mark is the one marking step: it checks a window and sieves its odd-only boolean mask, half a
-megabyte for 2**20 numbers wherever the window lies, into a buffer a walk may pass back.  Each
-odd base prime gets its first index from one start rule, one in-place modulo exact to
-2**63 - 1 (the cap on every limit).  Primes up to _LOOP_PRIME_LIMIT clear a strided slice
-each, larger ones below the window's odd count share one stride loop (as in Oliveira e Silva,
-Herzog and Pardi, 2014), and one store marks the rest, which hit the window at most once.
+megabyte for 2**20 numbers wherever the window lies, into a buffer a walk may pass back.  It
+copies the mask from a read-only pattern of the odd multiples of 3..17 (built at first use),
+doubled in place past one period.  Each larger odd base prime gets its first index from one
+start rule, one in-place modulo exact to 2**63 - 1 (the cap on every limit).  Primes below
+both _LOOP_PRIME_LIMIT and the window's odd count clear a strided slice each; larger ones below
+the count share one stride loop (as in Oliveira e Silva, Herzog and Pardi, 2014) whose rounds
+strike the shrinking prefix still sure of a hit, and one tail store marks each prime's one
+possible hit left, the last of a stride prime or the only one of a prime >= the count.
 Primes are listed only where a caller reads them: sieve_segment turns a mask into primes,
 prime_count counts each window's mask, nth_prime lists only the window that holds p_n, and the
 gap fold (gapstats._fold_range) reads each mask's odd slots.  _windows is the one walk, in
@@ -48,6 +51,8 @@ _LOOP_PRIME_LIMIT = 8192
 # simple_sieve's table: every base sieve up to isqrt(MAX_LIMIT) takes its base from it.
 _TABLE_LIMIT = math.isqrt(math.isqrt(MAX_LIMIT))
 _SPARSE_FROM = 485_165_196  # e^20: past it the odd-prime density 2/ln x is below 0.1
+_PATTERN_PRIMES = (3, 5, 7, 11, 13, 17)
+_PERIOD = 255_255  # 3 * 5 * 7 * 11 * 13 * 17: the pattern repeats every _PERIOD odd slots
 
 
 class BoundaryRule(Enum):
@@ -138,6 +143,16 @@ def _missing_base_prime(base: np.ndarray, need: int) -> bool:
     return False
 
 
+@cache
+def _pattern() -> np.ndarray:
+    """Two periods of odd slots, slot j for 2 j + 1, every odd multiple of 3..17 struck."""
+    pattern = np.ones(2 * _PERIOD, dtype=bool)
+    for p in _PATTERN_PRIMES:
+        pattern[p >> 1 :: p] = False
+    pattern.setflags(write=False)
+    return pattern
+
+
 def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
     """Index i, for first_odd + 2 i, of each odd p's first odd multiple >= first_odd.
 
@@ -153,7 +168,9 @@ def _start_indices(first_odd: int, primes: np.ndarray) -> np.ndarray:
 def _mark(lo: int, hi: int, base_primes: np.ndarray, buf: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Check the window, then mark it: buf[:count] is the odd-only mask of [lo, hi), slot i for
     (lo | 1) + 2 i, and buf's True slots past count (past e^20 alone) are the extraction's pad.
-    A walk passes the previous window's buf back, refilled here when it is large enough."""
+    A walk passes the previous window's buf back, refilled here when it is large enough.  Stride
+    round k strikes the prefix of primes p <= count // (k + 1), each sure of k + 1 hits; then
+    each prime sits at its one possible hit left, and one tail store marks those below count."""
     if lo < 2:
         raise ValueError(f"segment start {lo} below 2")
     if hi <= lo:
@@ -170,25 +187,33 @@ def _mark(lo: int, hi: int, base_primes: np.ndarray, buf: np.ndarray | None = No
     count = (hi - first_odd + 1) // 2
     # room for a tail of True slots: count // 9 + 1 of them lift even an empty mask past 0.1
     size = count + (count // 9 + 1 if hi > _SPARSE_FROM else 0)
+    # a reused buf spares a fresh mask's page faults in every window
     buf = buf[:size] if buf is not None and buf.size >= size else np.empty(size, dtype=bool)
-    buf.fill(True)  # a reused buf spares a fresh mask's page faults in every window
+    if size > count:
+        buf[count:] = True
     mask = buf[:count]
-    odd = base[np.searchsorted(base, 3) : np.searchsorted(base, need, side="right")]
+    n, r = min(count, _PERIOD), (first_odd >> 1) % _PERIOD
+    mask[:n] = _pattern()[r : r + n]
+    while n < count:
+        mask[n : 2 * n] = mask[: min(n, count - n)]
+        n *= 2
+    for p in _PATTERN_PRIMES:  # the pattern struck its own primes
+        if first_odd <= p < hi:
+            mask[(p - first_odd) >> 1] = True
+    odd = base[np.searchsorted(base, 19) : np.searchsorted(base, need, side="right")]
     if odd.size:
         starts = _start_indices(first_odd, odd)
-        split = np.searchsorted(odd, _LOOP_PRIME_LIMIT, side="right")
+        split = np.searchsorted(odd, min(_LOOP_PRIME_LIMIT, count))
         for p, i in zip(odd[:split].tolist(), starts[:split].tolist()):
             mask[i::p] = False
-        # a prime >= count has at most one odd multiple in the window: one store marks them all
-        cut = max(split, np.searchsorted(odd, count))
-        large, start = odd[split:cut], starts[split:cut]
-        while large.size:  # one mark per live prime a round, at most count / 8192 + 1 rounds
-            live = start < count
-            large, start = large[live], start[live]
-            mask[start] = False
-            start += large
-        once = starts[cut:]
-        mask[once.compress(once < count)] = False
+        large = odd[split : max(split, np.searchsorted(odd, count))]
+        start = starts[split : split + large.size]
+        rounds = count // int(large[0]) if large.size else 0  # the smallest stride prime's sure hits
+        for n in np.searchsorted(large, count // np.arange(1, rounds + 1), side="right").tolist():
+            mask[start[:n]] = False
+            np.add(start[:n], large[:n], out=start[:n])
+        last = starts[split:]
+        mask[last.compress(last < count)] = False
         # base primes inside the window struck themselves
         mask[(odd[np.searchsorted(odd, first_odd) :] - first_odd) >> 1] = True
     return buf, count

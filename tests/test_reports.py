@@ -22,6 +22,7 @@ from primegaps.reports import (
     collect_records,
     estimate_seconds,
     format_value,
+    table1_limit,
     table1_rows,
     table2_rows,
     write_figure_maxgaps,
@@ -133,6 +134,14 @@ def test_table1_rows_refuse_a_float_limit_by_name():
 def test_table1_rejects_non_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         table1_rows([10**5])
+
+
+@pytest.mark.parametrize("refuse", [table1_limit, lambda limit: table1_rows([limit])],
+                         ids=["table1_limit", "table1_rows"])
+@pytest.mark.parametrize("limit", [0, -5])
+def test_table1_refuses_a_limit_below_1_as_no_power_of_two(refuse, limit):
+    with pytest.raises(ValueError, match=rf"^limit {limit} is not a power of two$"):
+        refuse(limit)
 
 
 def write_to_string(writer, *args) -> list[str]:

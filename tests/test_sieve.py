@@ -524,6 +524,66 @@ def test_windows_that_start_on_a_base_prime(lo, hi, base_2p24):
     assert got[0] == lo
 
 
+# Every mask starts as a copy of the pattern, which strikes 3..17 themselves; the
+# windows below 19 must restore them even when the base stops short of them.
+@pytest.mark.parametrize("lo, hi, base", [(2, 8, [2]), (2, 40, [2, 3, 5]), (11, 19, [2, 3])])
+def test_windows_below_19_keep_the_pattern_primes(lo, hi, base):
+    got = sieve_segment(lo, hi, np.array(base)).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base)
+    assert {11, 13, 17} & set(range(lo, hi)) <= set(got)
+
+
+# A mask past one period of the pattern is doubled in place: 4 periods and 3 odd slots
+# leave an uneven tail after the last doubling, below e^20 and past it.
+@pytest.mark.parametrize("lo", [480_000_001, 2**30 + 12345], ids=["4.8e8", "2^30"])
+def test_a_window_of_four_periods_and_a_tail(lo, base_2p24):
+    hi = lo + 2 * (4 * sieve._PERIOD + 3)
+    assert (hi - lo + 1) // 2 == 4 * sieve._PERIOD + 3
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
+# A window whose odd count is below _LOOP_PRIME_LIMIT slices only the primes below its
+# count; every larger one, and every prime past the limit in the 8193-slot window, hits
+# at most once and goes to the tail store.  At 2^48 the per-prime loop takes about 1 s
+# a window over its million base primes, so Miller-Rabin checks those windows.
+@pytest.mark.parametrize("count", [2047, 2048, 8191, 8193])
+@pytest.mark.parametrize("height", [2**40, 2**48], ids=["2^40", "2^48"])
+def test_short_windows_at_height(height, count, base_2p24):
+    lo = height + 12345
+    hi = lo + 2 * count - 1
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == (oracles.loop_window_primes(lo, hi, base_2p24) if height < 2**48 else _mr_primes(lo, hi))
+
+
+# _P, the smallest stride prime, is sure of count // _P hits and so sets the number of
+# stride rounds.  With the odd count 63 _P, a first hit at slot _P - 1 puts its last
+# sure hit at count - 1, and a first hit at slot 0 puts its one possible extra hit at
+# count, one slot past the mask, where the pad begins past e^20.
+@pytest.mark.parametrize("first", [0, _P - 1], ids=["extra-at-count", "last-at-count-1"])
+@pytest.mark.parametrize("k", [_P, oracles.next_prime(2**36 // _P)], ids=["p^2", "2^36"])
+def test_a_count_that_is_a_multiple_of_a_stride_prime(first, k, base_2p24):
+    lo = _P * k - 2 * first
+    count = 63 * _P
+    hi = lo + 2 * count - 1
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+    assert (lo + 2 * (first + 62 * _P)) % _P == 0 and lo + 2 * (first + 63 * _P) >= hi
+
+
+# One odd slot more, count // 63 is still _P, so round 63 must strike _P and leave the
+# tail store its 64th hit, at count - 1.  That hit is _P q for a prime q above the
+# window's base, so no other prime strikes it.
+@pytest.mark.parametrize("m", [_P, 2**36 // _P], ids=["p^2", "2^36"])
+def test_an_extra_hit_on_the_last_slot(m, base_2p24):
+    q = oracles.next_prime(m + 126)
+    lo = _P * (q - 126)
+    hi = lo + 2 * (63 * _P + 1) - 1
+    assert lo + 2 * 63 * _P == _P * q == hi - 1 and q > math.isqrt(hi - 1)
+    got = sieve_segment(lo, hi, base_2p24).primes.tolist()
+    assert got == oracles.loop_window_primes(lo, hi, base_2p24)
+
+
 def test_top_window_agrees_with_the_loop_on_a_partial_base(monkeypatch):
     # with the completeness check off, both sides cross off the same primes
     # near the 2^63 edge, where int64 has no room for absolute multiples
